@@ -36,8 +36,8 @@ for family in (SP, O_PLUS, O_MINUS, UNITARY):
     hits = []
     for n in range(13):
         record = unipotent_cuspidal(SeriesTag(family, n))
-        if record.count:
-            hits.append((n, record.count))
+        if record.characters:
+            hits.append((n, len(record.characters)))
     print(f"   {family}: {hits}")
 
 print()

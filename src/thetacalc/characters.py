@@ -57,13 +57,41 @@ SP_FAMILY = "sp"
 OEVEN_FAMILY = "oeven"
 OODD_FAMILY = "oodd"
 
-TARGETS = ("u-even", "u-odd", "sp", "o+", "o-", "o-odd", "o-odd-c")
+# Family names of the character literal: name -> (family, implied epsilon).
+FAMILY_NAMES = {
+    "u": (U_FAMILY, None),
+    "sp": (SP_FAMILY, None),
+    "o+": (OEVEN_FAMILY, 1),
+    "o-": (OEVEN_FAMILY, -1),
+    "o-odd": (OODD_FAMILY, None),
+}
+_FAMILY_NAME = {value: name for name, value in FAMILY_NAMES.items()}
 
-_LEGAL_TARGETS = {
-    U_FAMILY: ("u-even", "u-odd"),
-    SP_FAMILY: ("o+", "o-", "o-odd", "o-odd-c"),
-    OEVEN_FAMILY: ("sp",),
-    OODD_FAMILY: ("sp",),
+# Dimension of the underlying space of a rank-n character: a*n + b.
+_SPACE_DIM = {U_FAMILY: (1, 0), SP_FAMILY: (2, 0), OEVEN_FAMILY: (2, 0), OODD_FAMILY: (2, 1)}
+
+# Source kind -> legal targets, each with the tower scanned for it: the
+# partner family, its epsilon and the parity of the target dimension.  A
+# kind is a family plus, for symplectic characters, the Witt series
+# ("even" or "odd") of its targets.  "o-odd-c" is the second odd tower,
+# the "o-odd" tower of the c-twisted character.  Kinds are listed in the
+# order the CLI lists their targets.
+TARGETS = {
+    (SP_FAMILY, "even"): {"o+": (OEVEN_FAMILY, 1, 0), "o-": (OEVEN_FAMILY, -1, 0)},
+    (OEVEN_FAMILY, None): {"sp": (SP_FAMILY, None, 0)},
+    (OODD_FAMILY, None): {"sp": (SP_FAMILY, None, 0)},
+    (U_FAMILY, None): {"u-even": (U_FAMILY, None, 0), "u-odd": (U_FAMILY, None, 1)},
+    (SP_FAMILY, "odd"): {"o-odd": (OODD_FAMILY, None, 1), "o-odd-c": (OODD_FAMILY, None, 1)},
+}
+TARGET_NAMES = tuple(dict.fromkeys(name for towers in TARGETS.values() for name in towers))
+
+# Series of the symbol pools lambda1 and lambda2 are drawn from, per
+# family; the even-orthogonal pool lists o+ before o-.
+_ORTH_SERIES = (O_PLUS, O_MINUS)
+_POOL_SERIES = {
+    SP_FAMILY: (_ORTH_SERIES, (SP,)),
+    OEVEN_FAMILY: (_ORTH_SERIES, _ORTH_SERIES),
+    OODD_FAMILY: ((SP,), (SP,)),
 }
 
 
@@ -208,17 +236,6 @@ class GeneralCharacter:
         return sum(dim for _, dim in self.blocks)
 
 
-_FAMILY_ALIASES = {
-    "u": (U_FAMILY, None),
-    "sp": (SP_FAMILY, None),
-    "oeven": (OEVEN_FAMILY, None),
-    "o+": (OEVEN_FAMILY, 1),
-    "o-": (OEVEN_FAMILY, -1),
-    "oodd": (OODD_FAMILY, None),
-    "o-odd": (OODD_FAMILY, None),
-}
-
-
 def make_character(
     family: str,
     n: int,
@@ -233,9 +250,12 @@ def make_character(
     family accepts the aliases "o+"/"o-" (even orthogonal with the sign
     baked in) and "o-odd" alongside the canonical names.
     """
-    if family not in _FAMILY_ALIASES:
+    if family in (OEVEN_FAMILY, OODD_FAMILY):
+        implied_epsilon = None
+    elif family in FAMILY_NAMES:
+        family, implied_epsilon = FAMILY_NAMES[family]
+    else:
         raise CharacterError(f"unknown family {family!r}")
-    family, implied_epsilon = _FAMILY_ALIASES[family]
     if implied_epsilon is not None:
         if epsilon is not None and epsilon != implied_epsilon:
             raise WrongSeriesError("wrong-series: epsilon contradicts the family alias")
@@ -251,13 +271,14 @@ def make_character(
     )
 
 
+def _space_dim(family: str, n: int) -> int:
+    a, b = _SPACE_DIM[family]
+    return a * n + b
+
+
 def char_dim(rho: GeneralCharacter) -> int:
     """dim of the underlying space: n, 2n, 2n, or 2n + 1 by family."""
-    if rho.family == U_FAMILY:
-        return rho.n
-    if rho.family == OODD_FAMILY:
-        return 2 * rho.n + 1
-    return 2 * rho.n
+    return _space_dim(rho.family, rho.n)
 
 
 def delta_char(rho: GeneralCharacter, sp_targets: str | None = None) -> int:
@@ -339,13 +360,17 @@ def corresponds(rho: GeneralCharacter, rho_prime: GeneralCharacter) -> bool:
     raise UnsupportedPairError(f"unsupported-pair: {pair}")
 
 
-def _check_target(rho: GeneralCharacter, target: str) -> None:
-    if target not in TARGETS:
+def _tower(rho: GeneralCharacter, target: str) -> tuple[str, int | None, int]:
+    """The tower of a legal target of rho: partner family, epsilon and
+    dimension parity."""
+    if target not in TARGET_NAMES:
         raise UnsupportedTargetError(f"unsupported-target: {target!r}")
-    if target not in _LEGAL_TARGETS[rho.family]:
-        raise UnsupportedTargetError(
-            f"unsupported-target: {target!r} for family {rho.family!r}"
-        )
+    for (family, _), towers in TARGETS.items():
+        if family == rho.family and target in towers:
+            return towers[target]
+    raise UnsupportedTargetError(
+        f"unsupported-target: {target!r} for family {rho.family!r}"
+    )
 
 
 def first_occurrence_partner(
@@ -356,12 +381,13 @@ def first_occurrence_partner(
     Block data passes through unchanged; the free unipotent component of
     the partner is the theta image of the matching component of rho.
     """
-    _check_target(rho, target)
+    family, epsilon, parity = _tower(rho, target)
+    if target == "o-odd-c":
+        return first_occurrence_partner(c_twist(rho), "o-odd")
     blocks = rho.blocks
     d0 = rho.d0
 
     if rho.family == U_FAMILY:
-        parity = 0 if target == "u-even" else 1
         sub_parity = (parity - d0) % 2
         size, partner_partition = first_occurrence_unitary_closed(
             rho.lambda1, sub_parity
@@ -370,29 +396,25 @@ def first_occurrence_partner(
         return dim, GeneralCharacter(U_FAMILY, dim, blocks, partner_partition)
 
     if rho.family == SP_FAMILY:
-        if target in ("o+", "o-"):
-            eps_target = 1 if target == "o+" else -1
-            tower = eps_target * orth_sign(rho.lambda1)
+        if family == OEVEN_FAMILY:
+            tower = epsilon * orth_sign(rho.lambda1)
             partner2 = theta_zero_sp(rho.lambda2, tower)
             dim = d0 + 2 * rank(rho.lambda1) + 2 * rank(partner2)
             partner = GeneralCharacter(
                 OEVEN_FAMILY, dim // 2, blocks, rho.lambda1, partner2
             )
             return dim, partner
-        if target == "o-odd":
-            partner2 = theta_zero_orth(rho.lambda1)
-            dim = d0 + 2 * rank(rho.lambda2) + 2 * rank(partner2) + 1
-            partner = GeneralCharacter(
-                OODD_FAMILY,
-                (dim - 1) // 2,
-                blocks,
-                rho.lambda2,
-                partner2,
-                sign=orth_sign(rho.lambda1),
-            )
-            return dim, partner
-        # o-odd-c: the second odd tower, realized on the twisted character
-        return first_occurrence_partner(c_twist(rho), "o-odd")
+        partner2 = theta_zero_orth(rho.lambda1)
+        dim = d0 + 2 * rank(rho.lambda2) + 2 * rank(partner2) + 1
+        partner = GeneralCharacter(
+            OODD_FAMILY,
+            (dim - 1) // 2,
+            blocks,
+            rho.lambda2,
+            partner2,
+            sign=orth_sign(rho.lambda1),
+        )
+        return dim, partner
 
     if rho.family == OEVEN_FAMILY:
         partner2 = theta_zero_orth(rho.lambda2)
@@ -406,6 +428,16 @@ def first_occurrence_partner(
 
 def first_occurrence_general(rho: GeneralCharacter, target: str) -> int:
     return first_occurrence_partner(rho, target)[0]
+
+
+def _symbol_pools(family: str, r1: int, r2: int) -> tuple[tuple[Symbol, ...], ...]:
+    """The symbols lambda1 of rank r1 and lambda2 of rank r2 range over."""
+    if family not in _POOL_SERIES:
+        raise CharacterError(f"unknown family {family!r}")
+    return tuple(
+        tuple(itertools.chain.from_iterable(enumerate_series(SeriesTag(s, r)) for s in series))
+        for series, r in zip(_POOL_SERIES[family], (r1, r2))
+    )
 
 
 def _max_delta(rho: GeneralCharacter) -> int:
@@ -428,31 +460,23 @@ def enumerate_characters(
     if d0 % 2 or 2 * n < d0:
         return
     budget = n - d0 // 2
-
-    def orth_symbols(r: int):
-        return itertools.chain(
-            enumerate_series(SeriesTag(O_PLUS, r)), enumerate_series(SeriesTag(O_MINUS, r))
-        )
-
     for r1 in range(budget + 1):
-        r2 = budget - r1
+        pool1, pool2 = _symbol_pools(family, r1, budget - r1)
         if family == SP_FAMILY:
-            for sym1 in orth_symbols(r1):
-                for sym2 in enumerate_series(SeriesTag(SP, r2)):
+            for sym1 in pool1:
+                for sym2 in pool2:
                     yield GeneralCharacter(SP_FAMILY, n, blocks, sym1, sym2)
         elif family == OEVEN_FAMILY:
-            for sym1 in orth_symbols(r1):
-                for sym2 in orth_symbols(r2):
+            for sym1 in pool1:
+                for sym2 in pool2:
                     if epsilon is not None and orth_sign(sym1) * orth_sign(sym2) != epsilon:
                         continue
                     yield GeneralCharacter(OEVEN_FAMILY, n, blocks, sym1, sym2)
-        elif family == OODD_FAMILY:
-            for sym1 in enumerate_series(SeriesTag(SP, r1)):
-                for sym2 in enumerate_series(SeriesTag(SP, r2)):
+        else:
+            for sym1 in pool1:
+                for sym2 in pool2:
                     for sign in (1, -1):
                         yield GeneralCharacter(OODD_FAMILY, n, blocks, sym1, sym2, sign=sign)
-        else:
-            raise CharacterError(f"unknown family {family!r}")
 
 
 def block_dim_choices(d0: int, even: bool) -> list[tuple[int, ...]]:
@@ -479,62 +503,39 @@ def first_occurrence_general_brute(
     """Oracle: scan target characters by increasing dimension until one
     corresponds.  Partner blocks must equal the source blocks, so the
     scan fixes them and enumerates the unipotent data."""
-    _check_target(rho, target)
+    family, epsilon, parity = _tower(rho, target)
     if target == "o-odd-c":
         return first_occurrence_general_brute(c_twist(rho), "o-odd")
     cap_dim = 2 * char_dim(rho) + 2 * _max_delta(rho) + 4
-    blocks = rho.blocks
-
-    if rho.family == U_FAMILY:
-        parity = 0 if target == "u-even" else 1
-        sizes = range(parity, cap_dim + 1, 2)
-        candidates = lambda size: enumerate_characters(U_FAMILY, size, blocks)
-        dim_of = lambda size: size
-    elif target in ("o+", "o-"):
-        eps = 1 if target == "o+" else -1
-        sizes = range(0, cap_dim // 2 + 1)
-        candidates = lambda size: enumerate_characters(OEVEN_FAMILY, size, blocks, eps)
-        dim_of = lambda size: 2 * size
-    elif target == "o-odd":
-        sizes = range(0, (cap_dim - 1) // 2 + 1)
-        candidates = lambda size: enumerate_characters(OODD_FAMILY, size, blocks)
-        dim_of = lambda size: 2 * size + 1
-    else:
-        sizes = range(0, cap_dim // 2 + 1)
-        candidates = lambda size: enumerate_characters(SP_FAMILY, size, blocks)
-        dim_of = lambda size: 2 * size
-
-    for size in sizes:
-        hits = tuple(cand for cand in candidates(size) if corresponds(rho, cand))
+    for size in range(cap_dim + 1):
+        dim = _space_dim(family, size)
+        if dim > cap_dim:
+            break
+        if dim % 2 != parity:
+            continue
+        candidates = enumerate_characters(family, size, rho.blocks, epsilon)
+        hits = tuple(cand for cand in candidates if corresponds(rho, cand))
         if hits:
-            return dim_of(size), hits
+            return dim, hits
     raise RuntimeError(f"cap-exceeded: no partner for {rho} in {target}")
 
 
 def preservation_sum_general(
     rho: GeneralCharacter, sp_targets: str | None = None
 ) -> tuple[int, int]:
-    """Both sides of the preservation identity for a model character."""
-    dim = char_dim(rho)
-    if rho.family == U_FAMILY:
-        lhs = first_occurrence_general(rho, "u-even") + first_occurrence_general(
-            rho, "u-odd"
-        )
-        return lhs, 2 * dim - 2 * delta_char(rho) + 1
-    if rho.family in (OEVEN_FAMILY, OODD_FAMILY):
-        lhs = first_occurrence_general(rho, "sp") + first_occurrence_general(
-            sgn_twist(rho), "sp"
-        )
-        return lhs, 2 * dim - 2 * delta_char(rho)
-    if sp_targets == "even":
-        lhs = first_occurrence_general(rho, "o+") + first_occurrence_general(rho, "o-")
-        return lhs, 2 * dim - 2 * delta_char(rho, "even") + 2
-    if sp_targets == "odd":
-        lhs = first_occurrence_general(rho, "o-odd") + first_occurrence_general(
-            c_twist(rho), "o-odd"
-        )
-        return lhs, 2 * dim - 2 * delta_char(rho, "odd") + 2
-    raise ValueError("sp characters need sp_targets 'even' or 'odd'")
+    """Both sides of the preservation identity for a model character.
+
+    The left side adds the first occurrences in the targets of the source
+    kind; an orthogonal character has one target, so its second
+    occurrence is that of its sign twist.
+    """
+    kind = (rho.family, sp_targets if rho.family == SP_FAMILY else None)
+    if kind not in TARGETS:
+        raise ValueError("sp characters need sp_targets 'even' or 'odd'")
+    sources = (rho, sgn_twist(rho)) if rho.family in (OEVEN_FAMILY, OODD_FAMILY) else (rho,)
+    lhs = sum(first_occurrence_general(src, target) for src in sources for target in TARGETS[kind])
+    shift = {U_FAMILY: 1, SP_FAMILY: 2}.get(rho.family, 0)
+    return lhs, 2 * char_dim(rho) - 2 * delta_char(rho, sp_targets) + shift
 
 
 def odd_witt_split(rho: GeneralCharacter) -> tuple[int, int]:
@@ -542,10 +543,7 @@ def odd_witt_split(rho: GeneralCharacter) -> tuple[int, int]:
     orthogonal towers; the second tower is the first tower of the twist."""
     if rho.family != SP_FAMILY:
         raise WrongFamilyError("wrong-family: odd towers attach to symplectic characters")
-    return (
-        first_occurrence_general(rho, "o-odd"),
-        first_occurrence_general(c_twist(rho), "o-odd"),
-    )
+    return tuple(first_occurrence_general(rho, t) for t in TARGETS[(SP_FAMILY, "odd")])
 
 
 def random_character(family: str, rng: Random, max_dim: int = 12) -> GeneralCharacter:
@@ -565,41 +563,15 @@ def random_character(family: str, rng: Random, max_dim: int = 12) -> GeneralChar
     r1 = rng.randint(0, n - half)
     r2 = n - half - r1
 
-    def orth_pick(r: int) -> Symbol:
-        pool = list(enumerate_series(SeriesTag(O_PLUS, r))) + list(
-            enumerate_series(SeriesTag(O_MINUS, r))
-        )
-        return rng.choice(pool)
-
-    def sp_pick(r: int) -> Symbol:
-        return rng.choice(list(enumerate_series(SeriesTag(SP, r))))
-
-    if family == SP_FAMILY:
-        return GeneralCharacter(SP_FAMILY, n, blocks, orth_pick(r1), sp_pick(r2))
-    if family == OEVEN_FAMILY:
-        return GeneralCharacter(OEVEN_FAMILY, n, blocks, orth_pick(r1), orth_pick(r2))
+    pool1, pool2 = _symbol_pools(family, r1, r2)
+    sym1, sym2 = rng.choice(pool1), rng.choice(pool2)
     if family == OODD_FAMILY:
-        return GeneralCharacter(
-            OODD_FAMILY, n, blocks, sp_pick(r1), sp_pick(r2), sign=rng.choice((1, -1))
-        )
-    raise CharacterError(f"unknown family {family!r}")
-
-
-_JSON_FAMILY = {
-    "u": (U_FAMILY, None),
-    "sp": (SP_FAMILY, None),
-    "o+": (OEVEN_FAMILY, 1),
-    "o-": (OEVEN_FAMILY, -1),
-    "o-odd": (OODD_FAMILY, None),
-}
+        return GeneralCharacter(family, n, blocks, sym1, sym2, sign=rng.choice((1, -1)))
+    return GeneralCharacter(family, n, blocks, sym1, sym2)
 
 
 def character_to_json(rho: GeneralCharacter) -> dict:
     """The character literal consumed and produced by the CLI."""
-    if rho.family == OEVEN_FAMILY:
-        family = "o+" if rho.epsilon > 0 else "o-"
-    else:
-        family = {U_FAMILY: "u", SP_FAMILY: "sp", OODD_FAMILY: "o-odd"}[rho.family]
     if rho.family == U_FAMILY:
         lambda1 = format_partition(rho.lambda1)
         lambda2 = None
@@ -608,7 +580,7 @@ def character_to_json(rho: GeneralCharacter) -> dict:
         lambda2 = format_symbol(rho.lambda2)
     sign = None if rho.sign is None else ("+" if rho.sign > 0 else "-")
     return {
-        "family": family,
+        "family": _FAMILY_NAME[rho.family, rho.epsilon],
         "n": rho.n,
         "d0_blocks": [dim for _, dim in rho.blocks],
         "lambda1": lambda1,
@@ -618,8 +590,10 @@ def character_to_json(rho: GeneralCharacter) -> dict:
 
 
 def character_from_json(data: dict) -> GeneralCharacter:
+    if not isinstance(data, dict):
+        raise CharacterError(f"character literal must be a JSON object, not {data!r}")
     try:
-        family, epsilon = _JSON_FAMILY[data["family"]]
+        family, epsilon = FAMILY_NAMES[data["family"]]
     except KeyError as exc:
         raise CharacterError(f"unknown family {data.get('family')!r}") from exc
     sign_text = data.get("sign")

@@ -16,6 +16,11 @@ import json
 import sys
 
 from .characters import (
+    OEVEN_FAMILY,
+    SP_FAMILY,
+    TARGET_NAMES,
+    TARGETS,
+    U_FAMILY,
     character_from_json,
     character_to_json,
     first_occurrence_general_brute,
@@ -40,6 +45,7 @@ from .symbols import (
     parse_symbol,
     partition_from_symbol,
     rank,
+    series_of,
     symbol_from_partition,
     upsilon,
 )
@@ -52,15 +58,27 @@ from .theta import (
     weil_pairs,
     weil_pairs_unitary,
 )
-from .verify import SUITES, run_suite
+from .verify import (
+    MAX_SAMPLED_DIM,
+    ORACLE_SAMPLES,
+    SAMPLES_PER_FAMILY,
+    SUITES,
+    run_suite,
+)
 
-_SERIES_OF_RESIDUE = {1: SP, 0: O_PLUS, 2: O_MINUS}
+# --group -> the source kind of its symbols, whose targets it takes;
+# symplectic symbols meet the even orthogonal towers.
+_GROUP_KIND = {
+    UNITARY: (U_FAMILY, None),
+    SP: (SP_FAMILY, "even"),
+    O_PLUS: (OEVEN_FAMILY, None),
+    O_MINUS: (OEVEN_FAMILY, None),
+}
 
 
 def symbol_info_record(sym: Symbol) -> dict:
     sym = normalize(sym)
     upper, lower = upsilon(sym)
-    series = _SERIES_OF_RESIDUE.get(defect(sym) % 4)
     return {
         "kind": "symbol-info",
         "symbol": format_symbol(sym),
@@ -70,7 +88,7 @@ def symbol_info_record(sym: Symbol) -> dict:
         "upsilon_top": format_partition(upper),
         "upsilon_bottom": format_partition(lower),
         "cuspidal": is_cuspidal(sym),
-        "series": series,
+        "series": series_of(sym),
         "partition": format_partition(partition_from_symbol(sym))
         if is_unitary_symbol(sym)
         else None,
@@ -193,11 +211,12 @@ def cmd_theta_partners(args) -> int:
 
 def _first_occurrence_symbol(args) -> dict:
     """Closed-form and oracle first occurrence for a series symbol."""
+    towers = TARGETS[_GROUP_KIND[args.group]]
+    if args.target not in towers:
+        raise SeriesError(f"target {args.target!r} invalid for group {args.group}")
+    _, sign, parity = towers[args.target]
     if args.group == UNITARY:
-        if args.target not in ("u-even", "u-odd"):
-            raise SeriesError(f"target {args.target!r} invalid for group u")
         lam = parse_partition(args.symbol)
-        parity = 0 if args.target == "u-even" else 1
         size, partner = first_occurrence_unitary_closed(lam, parity)
         oracle = first_occurrence_unitary(lam, parity)
         return {
@@ -212,15 +231,9 @@ def _first_occurrence_symbol(args) -> dict:
             "witnesses": [format_partition(w) for w in oracle.witnesses],
         }
     sym = parse_symbol(args.symbol)
-    if args.group == SP:
-        if args.target not in (O_PLUS, O_MINUS):
-            raise SeriesError(f"target {args.target!r} invalid for group sp")
-        sign = 1 if args.target == O_PLUS else -1
-        closed = theta_zero_sp(sym, sign)
-    else:
-        if args.target != SP:
-            raise SeriesError(f"target {args.target!r} invalid for group {args.group}")
-        closed = theta_zero_orth(sym)
+    if series_of(sym) != args.group:
+        raise SeriesError(f"symbol {args.symbol!r} is not in the {args.group} series")
+    closed = theta_zero_sp(sym, sign) if args.group == SP else theta_zero_orth(sym)
     oracle = first_occurrence_bruteforce(sym, args.target)
     return {
         "kind": "first-occurrence",
@@ -322,11 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--symbol", help="symbol literal; for --group u, a partition literal"
     )
     p_first.add_argument("--char", help="general character as a JSON object")
-    p_first.add_argument(
-        "--target",
-        required=True,
-        choices=("o+", "o-", "sp", "u-even", "u-odd", "o-odd", "o-odd-c"),
-    )
+    p_first.add_argument("--target", required=True, choices=TARGET_NAMES)
     p_first.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_first.add_argument("--out", default=None)
     p_first.set_defaults(func=cmd_theta_first)
@@ -335,7 +344,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--suite", required=True, choices=tuple(SUITES) + ("all",)
     )
-    p_verify.add_argument("--max-rank", type=int, default=6)
+    p_verify.add_argument(
+        "--max-rank",
+        type=int,
+        default=6,
+        help="bound of symbol-lemmas and unipotent-theta, and of the cuspidal-catalog "
+        "catalogs (its first-occurrence checks stay at m <= 2); the preservation "
+        f"suites ignore it and draw {SAMPLES_PER_FAMILY} closed-form and "
+        f"{ORACLE_SAMPLES} oracle samples of dim <= {MAX_SAMPLED_DIM}",
+    )
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_verify.add_argument("--out", default=None)

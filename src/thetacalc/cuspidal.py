@@ -38,7 +38,6 @@ from .theta import preservation_sum_unipotent, preservation_sum_unitary
 class CuspidalRecord:
     group: SeriesTag
     characters: tuple
-    count: int
 
 
 @dataclass
@@ -87,25 +86,25 @@ def unipotent_cuspidal(tag: SeriesTag) -> CuspidalRecord:
     if tag.family == SP:
         m = _is_pronic(n)
         if m is None:
-            return CuspidalRecord(tag, (), 0)
+            return CuspidalRecord(tag, ())
         d = 2 * m + 1 if m % 2 == 0 else -(2 * m + 1)
-        return CuspidalRecord(tag, (cuspidal_symbol(d),), 1)
+        return CuspidalRecord(tag, (cuspidal_symbol(d),))
     if tag.family in (O_PLUS, O_MINUS):
         sign = 1 if tag.family == O_PLUS else -1
         if n == 0:
             if sign == 1:
-                return CuspidalRecord(tag, (Symbol((), ()),), 1)
-            return CuspidalRecord(tag, (), 0)
+                return CuspidalRecord(tag, (Symbol((), ()),))
+            return CuspidalRecord(tag, ())
         m = _is_square(n)
         if m is None or (-1) ** m != sign:
-            return CuspidalRecord(tag, (), 0)
+            return CuspidalRecord(tag, ())
         sym = cuspidal_symbol(2 * m)
-        return CuspidalRecord(tag, (sym, transpose(sym)), 2)
+        return CuspidalRecord(tag, (sym, transpose(sym)))
     if tag.family == UNITARY:
         lam = unitary_cuspidal_partition(n)
         if lam is None:
-            return CuspidalRecord(tag, (), 0)
-        return CuspidalRecord(tag, (lam,), 1)
+            return CuspidalRecord(tag, ())
+        return CuspidalRecord(tag, (lam,))
     raise ValueError(f"unknown family {tag.family!r}")
 
 
@@ -121,16 +120,16 @@ def pseudo_unipotent_cuspidal_sp(n: int) -> CuspidalRecord:
     trivial_sp = cuspidal_symbol(1)
     if n == 0:
         rho = make_character("sp", 0, [], Symbol((), ()), trivial_sp)
-        return CuspidalRecord(tag, (rho,), 1)
+        return CuspidalRecord(tag, (rho,))
     m = _is_square(n)
     if m is None:
-        return CuspidalRecord(tag, (), 0)
+        return CuspidalRecord(tag, ())
     sym = cuspidal_symbol(2 * m)
     chars = tuple(
         make_character("sp", n, [], lam1, trivial_sp)
         for lam1 in (sym, transpose(sym))
     )
-    return CuspidalRecord(tag, chars, 2)
+    return CuspidalRecord(tag, chars)
 
 
 def check_pseudo_cuspidal_even_partners(m: int) -> list[CheckReport]:

@@ -20,7 +20,6 @@ from .partitions import (
     beta_set_of,
     bipartitions_of,
     partition_of_beta,
-    two_core,
 )
 
 SP = "sp"
@@ -166,6 +165,12 @@ def orth_sign(sym: Symbol) -> int:
     raise SeriesError(f"defect {defect(sym)} is not in an even-orthogonal class")
 
 
+def series_of(sym: Symbol) -> str | None:
+    """The series (sp, o+ or o-) whose defect residue sym has, if any."""
+    residue = defect(sym) % 4
+    return next((fam for fam, r in _DEFECT_RESIDUE.items() if r == residue), None)
+
+
 def series_contains(tag: SeriesTag, sym: Symbol) -> bool:
     """Membership in S_{Sp_2n} / S_{O^eps_2n}; unitary series go via partitions."""
     if tag.family == UNITARY:
@@ -257,11 +262,6 @@ def staircase_index(target_defect: int) -> int:
     return target_defect if target_defect >= 0 else -target_defect - 1
 
 
-def unitary_defect(core_rows: int) -> int:
-    """Inverse of staircase_index."""
-    return core_rows if core_rows % 2 == 0 else -(core_rows + 1)
-
-
 def unitary_size(sym: Symbol) -> int:
     """|lam| for the partition lam whose unitary symbol this is."""
     d = staircase_index(defect(sym))
@@ -328,8 +328,3 @@ def unitary_cuspidal_partition(n: int) -> Partition | None:
     if rows * (rows + 1) // 2 != n:
         return None
     return staircase(rows)
-
-
-def two_core_of_symbol(sym: Symbol) -> Partition:
-    """2-core of the partition attached to an even-defect symbol."""
-    return two_core(partition_from_symbol(sym))

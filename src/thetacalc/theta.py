@@ -57,10 +57,6 @@ class FirstOccurrence:
     witnesses: tuple
 
 
-def _row_partition(row) -> Partition:
-    return partition_of_beta(row)
-
-
 def in_b_relation(lhs: Symbol, rhs: Symbol, sign: int) -> bool:
     """The interleaving half of the correspondence relation.
 
@@ -69,11 +65,11 @@ def in_b_relation(lhs: Symbol, rhs: Symbol, sign: int) -> bool:
     """
     if sign > 0:
         return interleaves(
-            _row_partition(lhs.bottom), _row_partition(rhs.top)
-        ) and interleaves(_row_partition(rhs.bottom), _row_partition(lhs.top))
+            partition_of_beta(lhs.bottom), partition_of_beta(rhs.top)
+        ) and interleaves(partition_of_beta(rhs.bottom), partition_of_beta(lhs.top))
     return interleaves(
-        _row_partition(lhs.top), _row_partition(rhs.bottom)
-    ) and interleaves(_row_partition(rhs.top), _row_partition(lhs.bottom))
+        partition_of_beta(lhs.top), partition_of_beta(rhs.bottom)
+    ) and interleaves(partition_of_beta(rhs.top), partition_of_beta(lhs.bottom))
 
 
 def in_b_sp_oeven(sp_symbol: Symbol, orth_symbol: Symbol, sign: int) -> bool:

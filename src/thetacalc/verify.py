@@ -15,6 +15,7 @@ from .characters import (
     OEVEN_FAMILY,
     OODD_FAMILY,
     SP_FAMILY,
+    TARGETS,
     U_FAMILY,
     c_twist,
     first_occurrence_general_brute,
@@ -48,7 +49,6 @@ from .symbols import (
     rank,
     series_contains,
     symbol_from_partition,
-    transpose,
     upsilon_size,
 )
 from .theta import (
@@ -56,6 +56,7 @@ from .theta import (
     first_occurrence_unitary,
     first_occurrence_unitary_closed,
     in_b_sp_oeven,
+    preservation_sum_unipotent,
     preservation_sum_unitary,
     theta_zero_orth,
     theta_zero_sp,
@@ -114,26 +115,20 @@ def suite_symbol_lemmas(max_rank: int, seed: int) -> list[CheckReport]:
             failures.append({"n": n, "max": best, "got": maximizers})
     reports.append(_bulk("extremal-delta-defect-two", {"max_rank": max_rank}, instances, failures))
 
-    failures = []
-    instances = 0
-    for n in range(max_rank + 3):
-        for sym in enumerate_series(SeriesTag(SP, n)):
-            instances += 1
-            lhs = rank(theta_zero_sp(sym, 1)) + rank(theta_zero_sp(sym, -1))
-            if lhs != 2 * n - delta_symbol(sym) + 1:
-                failures.append(format_symbol(sym))
-    reports.append(_bulk("theta-rank-sum-symplectic", {"max_rank": max_rank + 2}, instances, failures))
-
-    failures = []
-    instances = 0
-    for n in range(max_rank + 3):
-        for fam in (O_PLUS, O_MINUS):
-            for sym in enumerate_series(SeriesTag(fam, n)):
-                instances += 1
-                lhs = rank(theta_zero_orth(sym)) + rank(theta_zero_orth(transpose(sym)))
-                if lhs != 2 * n - delta_symbol(sym):
-                    failures.append(format_symbol(sym))
-    reports.append(_bulk("theta-rank-sum-orthogonal", {"max_rank": max_rank + 2}, instances, failures))
+    for check, families in (
+        ("theta-rank-sum-symplectic", (SP,)),
+        ("theta-rank-sum-orthogonal", (O_PLUS, O_MINUS)),
+    ):
+        failures = []
+        instances = 0
+        for n in range(max_rank + 3):
+            for fam in families:
+                for sym in enumerate_series(SeriesTag(fam, n)):
+                    instances += 1
+                    lhs, rhs = preservation_sum_unipotent(sym)
+                    if lhs != rhs:
+                        failures.append(format_symbol(sym))
+        reports.append(_bulk(check, {"max_rank": max_rank + 2}, instances, failures))
 
     failures = []
     instances = 0
@@ -235,14 +230,7 @@ def _sampled_preservation(
         if lhs != rhs:
             failures.append({"index": i, "lhs": lhs, "rhs": rhs})
         if i < ORACLE_SAMPLES:
-            targets = {
-                (U_FAMILY, None): ("u-even", "u-odd"),
-                (SP_FAMILY, "even"): ("o+", "o-"),
-                (SP_FAMILY, "odd"): ("o-odd", "o-odd-c"),
-                (OEVEN_FAMILY, None): ("sp",),
-                (OODD_FAMILY, None): ("sp",),
-            }[(family, sp_targets)]
-            for target in targets:
+            for target in TARGETS[family, sp_targets]:
                 dim, partner = first_occurrence_partner(rho, target)
                 brute_dim, hits = first_occurrence_general_brute(rho, target)
                 if dim != brute_dim or partner not in hits:
@@ -289,7 +277,7 @@ def suite_cuspidal_catalog(max_rank: int, seed: int) -> list[CheckReport]:
                 failures.append({"family": fam, "n": n})
     for n in range(max_rank + 1):
         instances += 1
-        count = unipotent_cuspidal(SeriesTag(UNITARY, n)).count
+        count = len(unipotent_cuspidal(SeriesTag(UNITARY, n)).characters)
         brute = sum(
             1 for lam in partitions_of(n) if is_cuspidal(symbol_from_partition(lam))
         )
@@ -304,9 +292,10 @@ def suite_cuspidal_catalog(max_rank: int, seed: int) -> list[CheckReport]:
         instances += 1
         root = int(n**0.5)
         expected = 1 if n == 0 else (2 if root * root == n else 0)
-        if rec.count != expected:
-            failures.append({"n": n, "count": rec.count})
-        if rec.count == 2:
+        count = len(rec.characters)
+        if count != expected:
+            failures.append({"n": n, "count": count})
+        if count == 2:
             a, b = rec.characters
             if c_twist(a) != b:
                 failures.append({"n": n, "twist": False})

@@ -155,6 +155,20 @@ def test_theta_first_bad_input(capsys):
         capsys, "theta", "first", "--group", "u", "--symbol", "2,1", "--target", "o+"
     )
     assert code == 2 and "invalid for group u" in err
+    # "1,0|" has defect 2, so it lies in the o- series, not in o+
+    code, out, err = run_cli(
+        capsys, "theta", "first", "--group", "o+", "--symbol", "1,0|", "--target", "sp"
+    )
+    assert code == 2 and out == "" and "not in the o+ series" in err
+
+
+@pytest.mark.parametrize("literal", ["[]", "null", "3", '"sp"'])
+def test_theta_first_char_not_an_object(capsys, literal):
+    code, out, err = run_cli(
+        capsys, "theta", "first", "--target", "o+", "--char", literal
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
 
 
 def test_verify_suite_passes(capsys):

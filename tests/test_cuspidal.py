@@ -24,12 +24,12 @@ from thetacalc import (
 
 def test_unipotent_cuspidal_examples():
     rec = unipotent_cuspidal(SeriesTag(SP, 2))
-    assert rec.count == 1
+    assert len(rec.characters) == 1
     assert format_symbol(rec.characters[0]) == "|2,1,0"
     rec = unipotent_cuspidal(SeriesTag(O_MINUS, 1))
-    assert rec.count == 2
+    assert len(rec.characters) == 2
     assert sorted(map(format_symbol, rec.characters)) == ["1,0|", "|1,0"]
-    assert unipotent_cuspidal(SeriesTag(O_PLUS, 2)).count == 0
+    assert len(unipotent_cuspidal(SeriesTag(O_PLUS, 2)).characters) == 0
 
 
 def test_unipotent_cuspidal_matches_enumeration():
@@ -41,14 +41,13 @@ def test_unipotent_cuspidal_matches_enumeration():
                 format_symbol(s) for s in enumerate_series(tag) if is_cuspidal(s)
             )
             assert sorted(map(format_symbol, rec.characters)) == enumerated
-            assert rec.count == len(enumerated)
 
 
 def test_unipotent_cuspidal_ranks():
     hits = lambda fam: [
-        (n, unipotent_cuspidal(SeriesTag(fam, n)).count)
+        (n, len(unipotent_cuspidal(SeriesTag(fam, n)).characters))
         for n in range(13)
-        if unipotent_cuspidal(SeriesTag(fam, n)).count
+        if unipotent_cuspidal(SeriesTag(fam, n)).characters
     ]
     assert hits(SP) == [(0, 1), (2, 1), (6, 1), (12, 1)]
     assert hits(O_PLUS) == [(0, 1), (4, 2)]
@@ -67,14 +66,14 @@ def test_unitary_cuspidal_matches_partition_scan():
 
 def test_pseudo_unipotent_cuspidal_sp():
     rec = pseudo_unipotent_cuspidal_sp(1)
-    assert rec.count == 2
+    assert len(rec.characters) == 2
     assert sorted(format_symbol(r.lambda1) for r in rec.characters) == ["1,0|", "|1,0"]
     assert all(is_cuspidal_character(r) for r in rec.characters)
-    assert pseudo_unipotent_cuspidal_sp(2).count == 0
+    assert len(pseudo_unipotent_cuspidal_sp(2).characters) == 0
     rec4 = pseudo_unipotent_cuspidal_sp(4)
-    assert rec4.count == 2
+    assert len(rec4.characters) == 2
     assert "3,2,1,0|" in [format_symbol(r.lambda1) for r in rec4.characters]
-    assert pseudo_unipotent_cuspidal_sp(0).count == 1
+    assert len(pseudo_unipotent_cuspidal_sp(0).characters) == 1
 
 
 def test_pseudo_pair_swapped_by_c_twist():
