@@ -45,6 +45,7 @@ from .symbols import (
     transpose,
 )
 from .theta import (
+    CapExceededError,
     first_occurrence_unitary_closed,
     in_b_sp_oeven,
     in_b_uu,
@@ -147,6 +148,14 @@ def canonical_blocks(entries) -> tuple[Block, ...]:
     return blocks
 
 
+def _check_blocks(family: str, blocks: tuple[Block, ...]) -> None:
+    """Block dimensions are positive, and even outside the unitary family."""
+    if any(dim < 1 for _, dim in blocks):
+        raise CharacterError("block dimensions must be positive")
+    if family != U_FAMILY and any(dim % 2 for _, dim in blocks):
+        raise DimensionMismatchError("dimension-mismatch: blocks must have even dims")
+
+
 def _require_sp_series(sym: Symbol, who: str) -> None:
     if defect(sym) % 4 != 1:
         raise WrongSeriesError(f"wrong-series: {who} must have defect 1 mod 4")
@@ -176,10 +185,11 @@ class GeneralCharacter:
     def __post_init__(self):
         if self.n < 0:
             raise CharacterError("n must be non-negative")
+        if self.family not in (U_FAMILY, SP_FAMILY, OEVEN_FAMILY, OODD_FAMILY):
+            raise CharacterError(f"unknown family {self.family!r}")
         object.__setattr__(self, "blocks", canonical_blocks(self.blocks))
+        _check_blocks(self.family, self.blocks)
         d0 = self.d0
-        if any(dim < 1 for _, dim in self.blocks):
-            raise CharacterError("block dimensions must be positive")
 
         if self.family == U_FAMILY:
             for field in ("lambda2", "epsilon", "sign"):
@@ -192,10 +202,6 @@ class GeneralCharacter:
                 )
             return
 
-        if self.family not in (SP_FAMILY, OEVEN_FAMILY, OODD_FAMILY):
-            raise CharacterError(f"unknown family {self.family!r}")
-        if any(dim % 2 for _, dim in self.blocks):
-            raise DimensionMismatchError("dimension-mismatch: blocks must have even dims")
         if not isinstance(self.lambda1, Symbol) or not isinstance(self.lambda2, Symbol):
             raise CharacterError("lambda1 and lambda2 must be symbols")
         object.__setattr__(self, "lambda1", normalize(self.lambda1))
@@ -234,6 +240,37 @@ class GeneralCharacter:
     @property
     def d0(self) -> int:
         return sum(dim for _, dim in self.blocks)
+
+
+def _from_valid_parts(
+    family: str,
+    n: int,
+    blocks: tuple[Block, ...],
+    lambda1: Symbol | Partition,
+    lambda2: Symbol | None = None,
+    epsilon: int | None = None,
+    sign: int | None = None,
+) -> GeneralCharacter:
+    """A character from parts that are valid together by construction,
+    built without the checks of __post_init__.
+
+    The caller guarantees what __post_init__ would check or derive:
+    canonical blocks that suit the family, a canonical partition or
+    normalized symbols of the family's series, the dimension equation,
+    epsilon of an even-orthogonal character as the product of its
+    symbols' signs, and sign +-1 exactly on the odd-orthogonal family.
+    """
+    rho = object.__new__(GeneralCharacter)
+    rho.__dict__.update(
+        family=family,
+        n=n,
+        blocks=blocks,
+        lambda1=lambda1,
+        lambda2=lambda2,
+        epsilon=epsilon,
+        sign=sign,
+    )
+    return rho
 
 
 def make_character(
@@ -449,13 +486,19 @@ def _max_delta(rho: GeneralCharacter) -> int:
 def enumerate_characters(
     family: str, n: int, blocks: tuple[Block, ...] = (), epsilon: int | None = None
 ):
-    """All model characters of the family with the given rank and blocks."""
+    """All model characters of the family with the given rank and blocks.
+
+    The blocks are checked once here; every character is then built from
+    parts that are valid by construction (partitions_of and the series
+    pools of _symbol_pools, under the rank budget).
+    """
     blocks = canonical_blocks(blocks)
+    _check_blocks(family, blocks)
     d0 = sum(dim for _, dim in blocks)
     if family == U_FAMILY:
         if n >= d0:
             for lam in partitions_of(n - d0):
-                yield GeneralCharacter(U_FAMILY, n, blocks, lam)
+                yield _from_valid_parts(U_FAMILY, n, blocks, lam)
         return
     if d0 % 2 or 2 * n < d0:
         return
@@ -465,18 +508,22 @@ def enumerate_characters(
         if family == SP_FAMILY:
             for sym1 in pool1:
                 for sym2 in pool2:
-                    yield GeneralCharacter(SP_FAMILY, n, blocks, sym1, sym2)
+                    yield _from_valid_parts(SP_FAMILY, n, blocks, sym1, sym2)
         elif family == OEVEN_FAMILY:
+            signs2 = [orth_sign(sym2) for sym2 in pool2]
             for sym1 in pool1:
-                for sym2 in pool2:
-                    if epsilon is not None and orth_sign(sym1) * orth_sign(sym2) != epsilon:
-                        continue
-                    yield GeneralCharacter(OEVEN_FAMILY, n, blocks, sym1, sym2)
+                sign1 = orth_sign(sym1)
+                for sym2, sign2 in zip(pool2, signs2):
+                    derived = sign1 * sign2
+                    if epsilon is None or derived == epsilon:
+                        yield _from_valid_parts(
+                            OEVEN_FAMILY, n, blocks, sym1, sym2, epsilon=derived
+                        )
         else:
             for sym1 in pool1:
                 for sym2 in pool2:
                     for sign in (1, -1):
-                        yield GeneralCharacter(OODD_FAMILY, n, blocks, sym1, sym2, sign=sign)
+                        yield _from_valid_parts(OODD_FAMILY, n, blocks, sym1, sym2, sign=sign)
 
 
 def block_dim_choices(d0: int, even: bool) -> list[tuple[int, ...]]:
@@ -517,7 +564,7 @@ def first_occurrence_general_brute(
         hits = tuple(cand for cand in candidates if corresponds(rho, cand))
         if hits:
             return dim, hits
-    raise RuntimeError(f"cap-exceeded: no partner for {rho} in {target}")
+    raise CapExceededError(f"cap-exceeded: no partner for {rho} in {target}")
 
 
 def preservation_sum_general(
@@ -589,27 +636,51 @@ def character_to_json(rho: GeneralCharacter) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def character_from_json(data: dict) -> GeneralCharacter:
+    """The character of a literal as character_to_json writes it.
+
+    Every field is type-checked first; each rejection raises
+    CharacterError.
+    """
     if not isinstance(data, dict):
         raise CharacterError(f"character literal must be a JSON object, not {data!r}")
-    try:
-        family, epsilon = FAMILY_NAMES[data["family"]]
-    except KeyError as exc:
-        raise CharacterError(f"unknown family {data.get('family')!r}") from exc
+
+    def need(key: str):
+        if key not in data:
+            raise CharacterError(f"missing key {key!r}")
+        return data[key]
+
+    def text(key: str, nullable: bool = False) -> str | None:
+        value = data.get(key) if nullable else need(key)
+        if not (isinstance(value, str) or nullable and value is None):
+            raise CharacterError(f"{key} must be a string, not {value!r}")
+        return value
+
+    name = need("family")
+    if not isinstance(name, str) or name not in FAMILY_NAMES:
+        raise CharacterError(f"unknown family {name!r}")
+    family, epsilon = FAMILY_NAMES[name]
+    n = need("n")
+    if not _is_int(n):
+        raise CharacterError(f"n must be an integer, not {n!r}")
+    dims = data.get("d0_blocks", [])
+    if not isinstance(dims, list) or not all(_is_int(d) for d in dims):
+        raise CharacterError(f"d0_blocks must be a list of integers, not {dims!r}")
     sign_text = data.get("sign")
-    sign = None if sign_text in (None, "") else (1 if sign_text == "+" else -1)
-    if family == U_FAMILY:
-        lambda1: Symbol | Partition = parse_partition(data["lambda1"])
-        lambda2 = None
-    else:
-        lambda1 = parse_symbol(data["lambda1"])
-        lambda2 = parse_symbol(data["lambda2"])
+    if sign_text not in ("+", "-", "", None):
+        raise CharacterError(f"sign must be \"+\", \"-\", \"\" or null, not {sign_text!r}")
+    sign = {"+": 1, "-": -1}.get(sign_text)
+    unitary = family == U_FAMILY
+    first, second = text("lambda1"), text("lambda2", nullable=unitary)
+    try:
+        lambda1 = parse_partition(first) if unitary else parse_symbol(first)
+        lambda2 = None if unitary else parse_symbol(second)
+    except ValueError as exc:
+        raise CharacterError(str(exc)) from exc
     return make_character(
-        family,
-        int(data["n"]),
-        tuple(int(d) for d in data.get("d0_blocks", ())),
-        lambda1,
-        lambda2,
-        sign=sign,
-        epsilon=epsilon,
+        family, n, tuple(dims), lambda1, lambda2, sign=sign, epsilon=epsilon
     )

@@ -3,8 +3,9 @@
 Subcommands: symbol-info (statistics of one symbol), enumerate (series
 listings), theta partners / theta first (correspondence queries with
 closed-form and oracle columns), and verify (the named identity
-suites).  Exit codes: 0 success, 1 verification failure or
-closed-form/oracle disagreement, 2 usage or parse errors.
+suites).  Exit codes: 0 success, 1 verification failure,
+closed-form/oracle disagreement or an oracle scan past its cap, 2 usage
+or parse errors (an unwritable --out among them).
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .symbols import (
     upsilon,
 )
 from .theta import (
+    CapExceededError,
     first_occurrence_bruteforce,
     first_occurrence_unitary,
     first_occurrence_unitary_closed,
@@ -148,11 +150,14 @@ def render(records: list[dict], kind: str, fmt: str) -> str:
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {out_path!r}: {exc.strerror or exc}") from exc
 
 
 def cmd_symbol_info(args) -> int:
@@ -295,6 +300,13 @@ def cmd_verify(args) -> int:
     return 0 if passed == len(reports) else 1
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, not {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thetacalc",
@@ -346,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument(
         "--max-rank",
-        type=int,
+        type=_non_negative_int,
         default=6,
         help="bound of symbol-lemmas and unipotent-theta, and of the cuspidal-catalog "
         "catalogs (its first-occurrence checks stay at m <= 2); the preservation "
@@ -369,6 +381,10 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except CapExceededError as exc:
+        # An oracle scan ran past its proven cap: a failed check.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -101,8 +101,13 @@ def shift(sym: Symbol, steps: int = 1) -> Symbol:
 
 
 def normalize(sym: Symbol) -> Symbol:
-    """The minimal representative: undo shifts while both rows contain 0."""
+    """The minimal representative: undo shifts while both rows contain 0.
+
+    A symbol with no shift to undo is returned as it is.
+    """
     top, bottom = sym.top, sym.bottom
+    if not (top and bottom and top[-1] == 0 and bottom[-1] == 0):
+        return sym
     while top and bottom and top[-1] == 0 and bottom[-1] == 0:
         top = tuple(x - 1 for x in top[:-1])
         bottom = tuple(x - 1 for x in bottom[:-1])

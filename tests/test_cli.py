@@ -171,6 +171,53 @@ def test_theta_first_char_not_an_object(capsys, literal):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "literal, message",
+    [
+        ('{"family":[]}', "unknown family"),
+        ('{"family":"sp","n":null,"lambda1":"|","lambda2":"0|"}', "n must be an integer"),
+        ('{"family":"sp","n":2.7,"lambda1":"|","lambda2":"0|"}', "n must be an integer"),
+        ('{"family":"sp","n":0,"lambda1":null,"lambda2":"0|"}', "lambda1 must be a string"),
+        ('{"family":"sp","n":1,"d0_blocks":5,"lambda1":"|","lambda2":"0|"}', "d0_blocks"),
+        ('{"family":"o-odd","n":0,"lambda1":"0|","lambda2":"0|","sign":"x"}', "sign must be"),
+        ('{"family":"sp","lambda1":"|","lambda2":"0|"}', "missing key 'n'"),
+    ],
+)
+def test_theta_first_char_bad_field(capsys, literal, message):
+    code, out, err = run_cli(
+        capsys, "theta", "first", "--target", "sp", "--char", literal
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_theta_first_cap_exceeded_is_a_failed_check(capsys, monkeypatch):
+    from thetacalc import characters
+
+    monkeypatch.setattr(characters, "corresponds", lambda rho, rho_prime: False)
+    literal = '{"family":"sp","n":0,"lambda1":"|","lambda2":"0|"}'
+    code, out, err = run_cli(
+        capsys, "theta", "first", "--target", "o+", "--char", literal
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: cap-exceeded")
+
+
+def test_out_unwritable(capsys, tmp_path):
+    code, out, err = run_cli(
+        capsys, "symbol-info", "1,0|", "--out", str(tmp_path / "missing" / "x")
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write --out")
+
+
+def test_verify_negative_max_rank_exit_code(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--suite", "all", "--max-rank", "-3"])
+    _, err = capsys.readouterr()
+    assert info.value.code == 2 and "error:" in err and "--max-rank" in err
+
+
 def test_verify_suite_passes(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--suite", "symbol-lemmas", "--max-rank", "5"
