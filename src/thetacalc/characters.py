@@ -640,23 +640,30 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+_LITERAL_KEYS = {"family", "n", "d0_blocks", "lambda1", "lambda2", "sign"}
+
+
 def character_from_json(data: dict) -> GeneralCharacter:
     """The character of a literal as character_to_json writes it.
 
-    Every field is type-checked first; each rejection raises
-    CharacterError.
+    Every field is type-checked first; a key character_to_json does not
+    write, or a lambda2 on a unitary literal, is rejected too.  Each
+    rejection raises CharacterError.
     """
     if not isinstance(data, dict):
         raise CharacterError(f"character literal must be a JSON object, not {data!r}")
+    unknown = sorted(set(data) - _LITERAL_KEYS)
+    if unknown:
+        raise CharacterError(f"unknown key {unknown[0]!r}")
 
     def need(key: str):
         if key not in data:
             raise CharacterError(f"missing key {key!r}")
         return data[key]
 
-    def text(key: str, nullable: bool = False) -> str | None:
-        value = data.get(key) if nullable else need(key)
-        if not (isinstance(value, str) or nullable and value is None):
+    def text(key: str) -> str:
+        value = need(key)
+        if not isinstance(value, str):
             raise CharacterError(f"{key} must be a string, not {value!r}")
         return value
 
@@ -675,7 +682,9 @@ def character_from_json(data: dict) -> GeneralCharacter:
         raise CharacterError(f"sign must be \"+\", \"-\", \"\" or null, not {sign_text!r}")
     sign = {"+": 1, "-": -1}.get(sign_text)
     unitary = family == U_FAMILY
-    first, second = text("lambda1"), text("lambda2", nullable=unitary)
+    if unitary and data.get("lambda2") is not None:
+        raise CharacterError(f"lambda2 must be null for family 'u', not {data['lambda2']!r}")
+    first, second = text("lambda1"), None if unitary else text("lambda2")
     try:
         lambda1 = parse_partition(first) if unitary else parse_symbol(first)
         lambda2 = None if unitary else parse_symbol(second)

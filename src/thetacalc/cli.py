@@ -3,9 +3,10 @@
 Subcommands: symbol-info (statistics of one symbol), enumerate (series
 listings), theta partners / theta first (correspondence queries with
 closed-form and oracle columns), and verify (the named identity
-suites).  Exit codes: 0 success, 1 verification failure,
-closed-form/oracle disagreement or an oracle scan past its cap, 2 usage
-or parse errors (an unwritable --out among them).
+suites).  Exit codes: 0 success; 1 a failed check: a verification
+failure, a closed-form/oracle disagreement, an oracle scan past its cap,
+or a verify check that raised (reported as its FAIL line); 2 only bad
+input: usage or parse errors, an unwritable --out among them.
 """
 
 from __future__ import annotations
@@ -161,11 +162,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def cmd_symbol_info(args) -> int:
-    try:
-        sym = parse_symbol(args.literal)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    sym = parse_symbol(args.literal)
     _emit(render([symbol_info_record(sym)], "symbol-info", args.format), args.out)
     return 0
 
@@ -186,11 +183,9 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_theta_partners(args) -> int:
-    try:
-        left_group, right_group = args.pair.split(":")
-    except ValueError:
-        print(f"error: bad --pair {args.pair!r}", file=sys.stderr)
-        return 2
+    if args.pair.count(":") != 1:
+        raise ValueError(f"bad --pair {args.pair!r}")
+    left_group, right_group = args.pair.split(":")
     if left_group == SP and right_group in (O_PLUS, O_MINUS):
         sign = 1 if right_group == O_PLUS else -1
         pairs = weil_pairs(args.rank, sign, args.corank)
@@ -208,8 +203,7 @@ def cmd_theta_partners(args) -> int:
             for a, b in weil_pairs_unitary(args.rank, args.corank)
         ]
     else:
-        print(f"error: unsupported pair {args.pair!r}", file=sys.stderr)
-        return 2
+        raise ValueError(f"unsupported pair {args.pair!r}")
     _emit(render(records, "pair-list", args.format), args.out)
     return 0
 
@@ -254,29 +248,24 @@ def _first_occurrence_symbol(args) -> dict:
 
 
 def cmd_theta_first(args) -> int:
-    try:
-        if args.char:
-            rho = character_from_json(json.loads(args.char))
-            dim, partner = first_occurrence_partner(rho, args.target)
-            oracle_dim, hits = first_occurrence_general_brute(rho, args.target)
-            record = {
-                "kind": "first-occurrence",
-                "source": json.dumps(character_to_json(rho)),
-                "target": args.target,
-                "closed_dim": dim,
-                "oracle_dim": oracle_dim,
-                "agree": dim == oracle_dim and partner in hits,
-                "partner": json.dumps(character_to_json(partner)),
-                "witnesses": [json.dumps(character_to_json(h)) for h in hits],
-            }
-        elif args.group and args.symbol is not None:
-            record = _first_occurrence_symbol(args)
-        else:
-            print("error: need --group/--symbol or --char", file=sys.stderr)
-            return 2
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.char:
+        rho = character_from_json(json.loads(args.char))
+        dim, partner = first_occurrence_partner(rho, args.target)
+        oracle_dim, hits = first_occurrence_general_brute(rho, args.target)
+        record = {
+            "kind": "first-occurrence",
+            "source": json.dumps(character_to_json(rho)),
+            "target": args.target,
+            "closed_dim": dim,
+            "oracle_dim": oracle_dim,
+            "agree": dim == oracle_dim and partner in hits,
+            "partner": json.dumps(character_to_json(partner)),
+            "witnesses": [json.dumps(character_to_json(h)) for h in hits],
+        }
+    elif args.group and args.symbol is not None:
+        record = _first_occurrence_symbol(args)
+    else:
+        raise ValueError("need --group/--symbol or --char")
     _emit(render([record], "first-occurrence", args.format), args.out)
     return 0 if record["agree"] else 1
 

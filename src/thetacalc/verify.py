@@ -2,14 +2,18 @@
 
 Each suite re-derives a family of identities at a configurable bound
 and reports one line per identity with the number of instances
-checked.  Random sampling derives one generator per case from the root
-seed by hashing, so runs are reproducible case by case.
+checked.  A check that raises is reported as failed, with the exception
+as its failure.  Random sampling derives one generator per case from
+the root seed by hashing, so runs are reproducible case by case.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
+from functools import partial
 from random import Random
+from typing import Callable, Iterable
 
 from .characters import (
     OEVEN_FAMILY,
@@ -18,8 +22,10 @@ from .characters import (
     TARGETS,
     U_FAMILY,
     c_twist,
+    enumerate_characters,
     first_occurrence_general_brute,
     first_occurrence_partner,
+    is_cuspidal_character,
     preservation_sum_general,
     random_character,
 )
@@ -74,171 +80,171 @@ def case_rng(seed: int, suite: str, index: int) -> Random:
     return Random(int.from_bytes(digest[:8], "big"))
 
 
-def _bulk(check: str, parameters: dict, instances: int, failures: list) -> CheckReport:
+def _guarded(instances: Iterable[list], on_raise: Callable[[dict], object] = lambda r: r):
+    """The lists `instances` yields, one per instance.
+
+    An instance that raises ends them with one last list, holding
+    on_raise({"raised": "<Type>: <message>"}): a check that raises is a
+    failed check, not a crashed run.  This is the one place that catches.
+    """
+    try:
+        yield from instances
+    except Exception as exc:
+        yield [on_raise({"raised": f"{type(exc).__name__}: {exc}"})]
+
+
+def _bulk(check: str, parameters: dict, instances: Iterable[list]) -> CheckReport:
+    """One report of a bulk identity; `instances` yields the list of
+    failures of each instance.  The report counts the instances and keeps
+    the first five failures."""
+    found = list(_guarded(instances))
+    failures = [failure for instance in found for failure in instance]
     return CheckReport(
-        check,
-        {**parameters, "instances": instances},
-        {"failures": []},
-        {"failures": failures[:5]},
+        check, {**parameters, "instances": len(found)}, {"failures": []}, {"failures": failures[:5]}
     )
+
+
+def _series_symbols(max_rank: int, families: tuple[str, ...]):
+    for n in range(max_rank + 1):
+        for fam in families:
+            yield from enumerate_series(SeriesTag(fam, n))
+
+
+def _extremal_delta(max_rank: int, defect_class: int):
+    """Per rank, the delta maximizers among all symbols (class 0) or those
+    of defect +-2 (class 2) against extremal_delta_symbols; the instances
+    are the symbols, not the ranks."""
+    defects = (-2, 2) if defect_class else None
+    for n in range(defect_class // 2, max_rank + 1):
+        pool = enumerate_symbols(n, defects)
+        best = max(delta_symbol(s) for s in pool)
+        maximizers = sorted(format_symbol(s) for s in pool if delta_symbol(s) == best)
+        expected = sorted(format_symbol(s) for s in extremal_delta_symbols(n, defect_class))
+        failed = best != n - defect_class // 2 or maximizers != expected
+        yield [{"n": n, "max": best, "got": maximizers}] if failed else []
+        yield from [[]] * (len(pool) - 1)
 
 
 def suite_symbol_lemmas(max_rank: int, seed: int) -> list[CheckReport]:
     """Extremal delta classification and the theta rank-sum identities."""
-    reports = []
 
-    failures = []
-    instances = 0
-    for n in range(max_rank + 1):
-        pool = enumerate_symbols(n)
-        instances += len(pool)
-        best = max(delta_symbol(s) for s in pool)
-        maximizers = sorted(
-            (format_symbol(s) for s in pool if delta_symbol(s) == best)
-        )
-        expected = sorted(format_symbol(s) for s in extremal_delta_symbols(n, 0))
-        if best != n or maximizers != expected:
-            failures.append({"n": n, "max": best, "got": maximizers})
-    reports.append(_bulk("extremal-delta-all-defects", {"max_rank": max_rank}, instances, failures))
+    def rank_sums(families):
+        for sym in _series_symbols(max_rank + 2, families):
+            lhs, rhs = preservation_sum_unipotent(sym)
+            yield [] if lhs == rhs else [format_symbol(sym)]
 
-    failures = []
-    instances = 0
-    for n in range(1, max_rank + 1):
-        pool = [s for s in enumerate_symbols(n, (-2, 2))]
-        instances += len(pool)
-        best = max(delta_symbol(s) for s in pool)
-        maximizers = sorted(
-            format_symbol(s) for s in pool if delta_symbol(s) == best
-        )
-        expected = sorted(format_symbol(s) for s in extremal_delta_symbols(n, 2))
-        if best != n - 1 or maximizers != expected:
-            failures.append({"n": n, "max": best, "got": maximizers})
-    reports.append(_bulk("extremal-delta-defect-two", {"max_rank": max_rank}, instances, failures))
+    def cuspidality():
+        for sym in _series_symbols(max_rank + 2, (SP, O_PLUS, O_MINUS)):
+            flags = {is_cuspidal(sym), delta_symbol(sym) == 0, upsilon_size(sym) == 0}
+            yield [] if len(flags) == 1 else [format_symbol(sym)]
 
-    for check, families in (
-        ("theta-rank-sum-symplectic", (SP,)),
-        ("theta-rank-sum-orthogonal", (O_PLUS, O_MINUS)),
-    ):
-        failures = []
-        instances = 0
-        for n in range(max_rank + 3):
-            for fam in families:
-                for sym in enumerate_series(SeriesTag(fam, n)):
-                    instances += 1
-                    lhs, rhs = preservation_sum_unipotent(sym)
-                    if lhs != rhs:
-                        failures.append(format_symbol(sym))
-        reports.append(_bulk(check, {"max_rank": max_rank + 2}, instances, failures))
-
-    failures = []
-    instances = 0
-    for n in range(max_rank + 3):
-        for fam in (SP, O_PLUS, O_MINUS):
-            for sym in enumerate_series(SeriesTag(fam, n)):
-                instances += 1
-                flags = (is_cuspidal(sym), delta_symbol(sym) == 0, upsilon_size(sym) == 0)
-                if len(set(flags)) != 1:
-                    failures.append(format_symbol(sym))
-    reports.append(_bulk("cuspidality-equivalence", {"max_rank": max_rank + 2}, instances, failures))
-    return reports
+    bound, series_bound = {"max_rank": max_rank}, {"max_rank": max_rank + 2}
+    return [
+        _bulk("extremal-delta-all-defects", bound, _extremal_delta(max_rank, 0)),
+        _bulk("extremal-delta-defect-two", bound, _extremal_delta(max_rank, 2)),
+        _bulk("theta-rank-sum-symplectic", series_bound, rank_sums((SP,))),
+        _bulk("theta-rank-sum-orthogonal", series_bound, rank_sums((O_PLUS, O_MINUS))),
+        _bulk("cuspidality-equivalence", series_bound, cuspidality()),
+    ]
 
 
 def suite_unipotent_theta(max_rank: int, seed: int) -> list[CheckReport]:
     """Brute-force first occurrences against the theta maps, the pair-set
     decompositions, and the unitary preservation sums."""
-    reports = []
-
-    failures = []
-    instances = 0
-    for n in range(max_rank + 1):
-        for sym in enumerate_series(SeriesTag(SP, n)):
-            for sign, fam in ((1, O_PLUS), (-1, O_MINUS)):
-                instances += 1
-                fo = first_occurrence_bruteforce(sym, fam)
-                tz = theta_zero_sp(sym, sign)
-                if fo.partner_series.rank != rank(tz) or not equivalent(fo.partner, tz):
-                    failures.append({"symbol": format_symbol(sym), "sign": sign})
-    reports.append(_bulk("first-occurrence-symplectic", {"max_rank": max_rank}, instances, failures))
-
-    failures = []
-    instances = 0
-    for n in range(max_rank + 1):
-        for fam in (O_PLUS, O_MINUS):
-            for sym in enumerate_series(SeriesTag(fam, n)):
-                instances += 1
-                fo = first_occurrence_bruteforce(sym, SP)
-                tz = theta_zero_orth(sym)
-                if fo.partner_series.rank != rank(tz) or not equivalent(fo.partner, tz):
-                    failures.append(format_symbol(sym))
-    reports.append(_bulk("first-occurrence-orthogonal", {"max_rank": max_rank}, instances, failures))
-
-    failures = []
-    instances = 0
     bound = min(max_rank, 4)
-    for n in range(bound + 1):
-        for n_prime in range(bound + 1):
+
+    def same_partner(fo, closed) -> bool:
+        return fo.partner_series.rank == rank(closed) and equivalent(fo.partner, closed)
+
+    def first_occurrence_sp():
+        # One instance per (symbol, sign) pair.
+        for sym in _series_symbols(max_rank, (SP,)):
             for sign, fam in ((1, O_PLUS), (-1, O_MINUS)):
-                pairs = weil_pairs(n, sign, n_prime)
-                oracle = set()
-                for a in enumerate_series(SeriesTag(SP, n)):
-                    for b in enumerate_series(SeriesTag(fam, n_prime)):
-                        if in_b_sp_oeven(a, b, sign):
-                            oracle.add((a, b))
-                instances += 1
-                if len(pairs) != len(set(pairs)) or set(pairs) != oracle:
-                    failures.append({"n": n, "n_prime": n_prime, "sign": sign})
-                for a, b in pairs:
-                    if not series_contains(SeriesTag(fam, n_prime), b):
-                        failures.append({"pair": (format_symbol(a), format_symbol(b))})
-    reports.append(_bulk("weil-pair-sets", {"max_rank": bound}, instances, failures))
+                fo = first_occurrence_bruteforce(sym, fam)
+                agree = same_partner(fo, theta_zero_sp(sym, sign))
+                yield [] if agree else [{"symbol": format_symbol(sym), "sign": sign}]
 
-    failures = []
-    instances = 0
-    for n in range(bound + 1):
-        for n_prime in range(bound + 1):
-            instances += 1
-            try:
-                weil_pairs_unitary(n, n_prime)
-            except AssertionError:
-                failures.append({"n": n, "n_prime": n_prime})
-    reports.append(_bulk("unitary-pair-parity", {"max_rank": bound}, instances, failures))
+    def first_occurrence_orth():
+        for sym in _series_symbols(max_rank, (O_PLUS, O_MINUS)):
+            fo = first_occurrence_bruteforce(sym, SP)
+            yield [] if same_partner(fo, theta_zero_orth(sym)) else [format_symbol(sym)]
 
-    failures = []
-    instances = 0
-    for n in range(max_rank + 1):
-        for lam in partitions_of(n):
-            instances += 1
-            lhs, rhs = preservation_sum_unitary(lam)
-            if lhs != rhs:
-                failures.append(list(lam))
-            for parity in (0, 1):
-                size, _ = first_occurrence_unitary_closed(lam, parity)
-                if size != first_occurrence_unitary(lam, parity).space_dimension:
-                    failures.append({"partition": list(lam), "parity": parity})
-    reports.append(_bulk("unitary-preservation", {"max_size": max_rank}, instances, failures))
-    return reports
+    def pair_sets():
+        for n in range(bound + 1):
+            for n_prime in range(bound + 1):
+                for sign, fam in ((1, O_PLUS), (-1, O_MINUS)):
+                    pairs = weil_pairs(n, sign, n_prime)
+                    oracle = {
+                        (a, b)
+                        for a in enumerate_series(SeriesTag(SP, n))
+                        for b in enumerate_series(SeriesTag(fam, n_prime))
+                        if in_b_sp_oeven(a, b, sign)
+                    }
+                    outside = [
+                        {"pair": (format_symbol(a), format_symbol(b))}
+                        for a, b in pairs
+                        if not series_contains(SeriesTag(fam, n_prime), b)
+                    ]
+                    if len(pairs) != len(set(pairs)) or set(pairs) != oracle:
+                        outside.insert(0, {"n": n, "n_prime": n_prime, "sign": sign})
+                    yield outside
+
+    def pair_parity():
+        for n in range(bound + 1):
+            for n_prime in range(bound + 1):
+                try:
+                    weil_pairs_unitary(n, n_prime)
+                except AssertionError:
+                    yield [{"n": n, "n_prime": n_prime}]
+                else:
+                    yield []
+
+    def unitary_preservation():
+        for n in range(max_rank + 1):
+            for lam in partitions_of(n):
+                lhs, rhs = preservation_sum_unitary(lam)
+                failed = [] if lhs == rhs else [list(lam)]
+                for parity in (0, 1):
+                    size, _ = first_occurrence_unitary_closed(lam, parity)
+                    if size != first_occurrence_unitary(lam, parity).space_dimension:
+                        failed.append({"partition": list(lam), "parity": parity})
+                yield failed
+
+    return [
+        _bulk("first-occurrence-symplectic", {"max_rank": max_rank}, first_occurrence_sp()),
+        _bulk("first-occurrence-orthogonal", {"max_rank": max_rank}, first_occurrence_orth()),
+        _bulk("weil-pair-sets", {"max_rank": bound}, pair_sets()),
+        _bulk("unitary-pair-parity", {"max_rank": bound}, pair_parity()),
+        _bulk("unitary-preservation", {"max_size": max_rank}, unitary_preservation()),
+    ]
 
 
 def _sampled_preservation(
     family: str, suite: str, seed: int, sp_targets: str | None
 ) -> list[CheckReport]:
-    failures = []
-    oracle_failures = []
-    for i in range(SAMPLES_PER_FAMILY):
-        rho = random_character(family, case_rng(seed, suite, i), MAX_SAMPLED_DIM)
-        lhs, rhs = preservation_sum_general(rho, sp_targets)
-        if lhs != rhs:
-            failures.append({"index": i, "lhs": lhs, "rhs": rhs})
-        if i < ORACLE_SAMPLES:
-            for target in TARGETS[family, sp_targets]:
-                dim, partner = first_occurrence_partner(rho, target)
-                brute_dim, hits = first_occurrence_general_brute(rho, target)
-                if dim != brute_dim or partner not in hits:
-                    oracle_failures.append({"index": i, "target": target})
+    def samples(count: int):
+        for i in range(count):
+            yield i, random_character(family, case_rng(seed, suite, i), MAX_SAMPLED_DIM)
+
+    def closed():
+        for i, rho in samples(SAMPLES_PER_FAMILY):
+            lhs, rhs = preservation_sum_general(rho, sp_targets)
+            yield [] if lhs == rhs else [{"index": i, "lhs": lhs, "rhs": rhs}]
+
+    def oracle_agrees(rho, target: str) -> bool:
+        dim, partner = first_occurrence_partner(rho, target)
+        brute_dim, hits = first_occurrence_general_brute(rho, target)
+        return dim == brute_dim and partner in hits
+
+    def oracle():
+        for i, rho in samples(ORACLE_SAMPLES):
+            towers = TARGETS[family, sp_targets]
+            yield [{"index": i, "target": t} for t in towers if not oracle_agrees(rho, t)]
+
     label = family if sp_targets is None else f"{family}-{sp_targets}"
     return [
-        _bulk(f"preservation-closed-{label}", {"samples": SAMPLES_PER_FAMILY}, SAMPLES_PER_FAMILY, failures),
-        _bulk(f"preservation-oracle-{label}", {"samples": ORACLE_SAMPLES}, ORACLE_SAMPLES, oracle_failures),
+        _bulk(f"preservation-closed-{label}", {"samples": SAMPLES_PER_FAMILY}, closed()),
+        _bulk(f"preservation-oracle-{label}", {"samples": ORACLE_SAMPLES}, oracle()),
     ]
 
 
@@ -261,52 +267,46 @@ def suite_preservation_sp_odd(max_rank: int, seed: int) -> list[CheckReport]:
 
 
 def suite_cuspidal_catalog(max_rank: int, seed: int) -> list[CheckReport]:
-    reports = []
+    def catalog():
+        for fam in (SP, O_PLUS, O_MINUS, UNITARY):
+            for n in range(max_rank + 1):
+                tag = SeriesTag(fam, n)
+                if fam == UNITARY:
+                    pool = (p for p in partitions_of(n) if is_cuspidal(symbol_from_partition(p)))
+                else:
+                    pool = (s for s in enumerate_series(tag) if is_cuspidal(s))
+                agree = Counter(unipotent_cuspidal(tag).characters) == Counter(pool)
+                yield [] if agree else [{"family": fam, "n": n}]
 
-    failures = []
-    instances = 0
-    for fam in (SP, O_PLUS, O_MINUS):
+    def pseudo_cuspidal():
+        # The record against the blockless cuspidal characters whose
+        # lambda2 has rank 0, found by enumeration.
         for n in range(max_rank + 1):
-            tag = SeriesTag(fam, n)
-            instances += 1
-            listed = sorted(format_symbol(s) for s in unipotent_cuspidal(tag).characters)
-            enumerated = sorted(
-                format_symbol(s) for s in enumerate_series(tag) if is_cuspidal(s)
-            )
-            if listed != enumerated:
-                failures.append({"family": fam, "n": n})
-    for n in range(max_rank + 1):
-        instances += 1
-        count = len(unipotent_cuspidal(SeriesTag(UNITARY, n)).characters)
-        brute = sum(
-            1 for lam in partitions_of(n) if is_cuspidal(symbol_from_partition(lam))
-        )
-        if count != brute:
-            failures.append({"family": UNITARY, "n": n})
-    reports.append(_bulk("cuspidal-catalog-closed-form", {"max_rank": max_rank}, instances, failures))
+            listed = pseudo_unipotent_cuspidal_sp(n).characters
+            brute = [
+                rho
+                for rho in enumerate_characters(SP_FAMILY, n)
+                if rank(rho.lambda2) == 0 and is_cuspidal_character(rho)
+            ]
+            agree = Counter(listed) == Counter(brute)
+            failed = [] if agree else [{"n": n, "count": len(listed)}]
+            if len(listed) == 2 and c_twist(listed[0]) != listed[1]:
+                failed.append({"n": n, "twist": False})
+            yield failed
 
-    failures = []
-    instances = 0
-    for n in range(max_rank + 1):
-        rec = pseudo_unipotent_cuspidal_sp(n)
-        instances += 1
-        root = int(n**0.5)
-        expected = 1 if n == 0 else (2 if root * root == n else 0)
-        count = len(rec.characters)
-        if count != expected:
-            failures.append({"n": n, "count": count})
-        if count == 2:
-            a, b = rec.characters
-            if c_twist(a) != b:
-                failures.append({"n": n, "twist": False})
-    reports.append(_bulk("pseudo-cuspidal-count", {"max_rank": max_rank}, instances, failures))
-
+    reports = [
+        _bulk("cuspidal-catalog-closed-form", {"max_rank": max_rank}, catalog()),
+        _bulk("pseudo-cuspidal-count", {"max_rank": max_rank}, pseudo_cuspidal()),
+    ]
     for m in range(0, 3):
-        reports.extend(check_unipotent_cuspidal_odd_partner(m))
-        reports.extend(check_cuspidal_preservation_sums(m))
+        checks = [check_unipotent_cuspidal_odd_partner, check_cuspidal_preservation_sums]
         if m >= 1:
-            reports.extend(check_pseudo_cuspidal_even_partners(m))
-            reports.extend(check_pseudo_cuspidal_odd_partners(m))
+            checks += [check_pseudo_cuspidal_even_partners, check_pseudo_cuspidal_odd_partners]
+        for check in checks:
+            # A check that raises gives one failed report in its name.
+            failed = partial(CheckReport, check.__name__, {"m": m}, {"raised": None})
+            for found in _guarded(map(check, [m]), failed):
+                reports.extend(found)
     return reports
 
 
@@ -323,10 +323,5 @@ SUITES = {
 
 def run_suite(name: str, max_rank: int, seed: int) -> list[CheckReport]:
     if name == "all":
-        out = []
-        for key in SUITES:
-            out.extend(SUITES[key](max_rank, seed))
-        return out
-    if name not in SUITES:
-        raise KeyError(name)
+        return [report for suite in SUITES.values() for report in suite(max_rank, seed)]
     return SUITES[name](max_rank, seed)

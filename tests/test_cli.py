@@ -181,6 +181,8 @@ def test_theta_first_char_not_an_object(capsys, literal):
         ('{"family":"sp","n":1,"d0_blocks":5,"lambda1":"|","lambda2":"0|"}', "d0_blocks"),
         ('{"family":"o-odd","n":0,"lambda1":"0|","lambda2":"0|","sign":"x"}', "sign must be"),
         ('{"family":"sp","lambda1":"|","lambda2":"0|"}', "missing key 'n'"),
+        ('{"family":"u","n":1,"lambda1":"1","lambda2":null,"bogus":1}', "unknown key 'bogus'"),
+        ('{"family":"u","n":1,"lambda1":"1","lambda2":"7|3"}', "lambda2 must be null"),
     ],
 )
 def test_theta_first_char_bad_field(capsys, literal, message):
