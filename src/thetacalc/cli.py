@@ -6,13 +6,19 @@ closed-form and oracle columns), and verify (the named identity
 suites).  Exit codes: 0 success; 1 a failed check: a verification
 failure, a closed-form/oracle disagreement, an oracle scan past its cap,
 or a verify check that raised (reported as its FAIL line); 2 only bad
-input: usage or parse errors, an unwritable --out among them.
+input: usage or parse errors, an unwritable --out among them, and a
+theta query over MAX_QUERY_SIZE (a symbol rank, partition size, --char
+n, --rank or --corank above 10), rejected before any scan starts.
+
+main(argv) may be called any number of times in one process; it builds
+its parser on the first call and reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -68,6 +74,11 @@ from .verify import (
     SUITES,
     run_suite,
 )
+
+# Largest symbol rank, --group u partition size, --char n, --rank and
+# --corank that `theta first` and `theta partners` accept.  The oracle
+# scans and pair enumerations behind them grow exponentially with it.
+MAX_QUERY_SIZE = 10
 
 # --group -> the source kind of its symbols, whose targets it takes;
 # symplectic symbols meet the even orthogonal towers.
@@ -182,7 +193,15 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
+def _check_size(what: str, size: int) -> None:
+    """Reject a query larger than MAX_QUERY_SIZE as bad input (exit 2)."""
+    if size > MAX_QUERY_SIZE:
+        raise ValueError(f"{what} {size} is over the query size limit {MAX_QUERY_SIZE}")
+
+
 def cmd_theta_partners(args) -> int:
+    _check_size("--rank", args.rank)
+    _check_size("--corank", args.corank)
     if args.pair.count(":") != 1:
         raise ValueError(f"bad --pair {args.pair!r}")
     left_group, right_group = args.pair.split(":")
@@ -216,6 +235,7 @@ def _first_occurrence_symbol(args) -> dict:
     _, sign, parity = towers[args.target]
     if args.group == UNITARY:
         lam = parse_partition(args.symbol)
+        _check_size("partition size", sum(lam))
         size, partner = first_occurrence_unitary_closed(lam, parity)
         oracle = first_occurrence_unitary(lam, parity)
         return {
@@ -230,6 +250,7 @@ def _first_occurrence_symbol(args) -> dict:
             "witnesses": [format_partition(w) for w in oracle.witnesses],
         }
     sym = parse_symbol(args.symbol)
+    _check_size("symbol rank", rank(sym))
     if series_of(sym) != args.group:
         raise SeriesError(f"symbol {args.symbol!r} is not in the {args.group} series")
     closed = theta_zero_sp(sym, sign) if args.group == SP else theta_zero_orth(sym)
@@ -250,6 +271,7 @@ def _first_occurrence_symbol(args) -> dict:
 def cmd_theta_first(args) -> int:
     if args.char:
         rho = character_from_json(json.loads(args.char))
+        _check_size("--char n", rho.n)
         dim, partner = first_occurrence_partner(rho, args.target)
         oracle_dim, hits = first_occurrence_general_brute(rho, args.target)
         record = {
@@ -296,7 +318,17 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built on its first call and reused after.
+
+    Reuse leaks nothing between calls: parse_args makes a new Namespace
+    each time, and usage errors and help look up sys.stderr, sys.stdout
+    and the terminal width when they print, so redirect_stderr and capsys
+    still capture them.  The handlers bound by set_defaults(func=cmd_*)
+    are fixed when the parser is built; patch what a handler calls, not
+    the handler.
+    """
     parser = argparse.ArgumentParser(
         prog="thetacalc",
         description="Exact symbol calculus and theta-correspondence queries "
@@ -349,7 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-rank",
         type=_non_negative_int,
         default=6,
-        help="bound of symbol-lemmas and unipotent-theta, and of the cuspidal-catalog "
+        help="bound of symbol-lemmas and unipotent-theta (whose pair-set checks stop "
+        "at rank 4), and of the cuspidal-catalog "
         "catalogs (its first-occurrence checks stay at m <= 2); the preservation "
         f"suites ignore it and draw {SAMPLES_PER_FAMILY} closed-form and "
         f"{ORACLE_SAMPLES} oracle samples of dim <= {MAX_SAMPLED_DIM}",
@@ -363,8 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, KeyError) as exc:

@@ -62,6 +62,7 @@ from .theta import (
     first_occurrence_unitary,
     first_occurrence_unitary_closed,
     in_b_sp_oeven,
+    in_b_uu,
     preservation_sum_unipotent,
     preservation_sum_unitary,
     theta_zero_orth,
@@ -193,11 +194,20 @@ def suite_unipotent_theta(max_rank: int, seed: int) -> list[CheckReport]:
         for n in range(bound + 1):
             for n_prime in range(bound + 1):
                 try:
-                    weil_pairs_unitary(n, n_prime)
+                    pairs = weil_pairs_unitary(n, n_prime)
                 except AssertionError:
                     yield [{"n": n, "n_prime": n_prime}]
-                else:
+                    continue
+                oracle = {
+                    (lam, mu)
+                    for lam in partitions_of(n)
+                    for mu in partitions_of(n_prime)
+                    if in_b_uu(symbol_from_partition(lam), symbol_from_partition(mu))
+                }
+                if len(pairs) == len(set(pairs)) and set(pairs) == oracle:
                     yield []
+                else:
+                    yield [{"n": n, "n_prime": n_prime, "pairs": len(pairs), "oracle": len(oracle)}]
 
     def unitary_preservation():
         for n in range(max_rank + 1):

@@ -137,17 +137,12 @@ MUTANTS = {
         4,
         {"pseudo-cuspidal-count"},
     ),
-    "weil-pairs-unitary-drops-last-pair": pytest.param(
+    "weil-pairs-unitary-drops-last-pair": (
         "weil_pairs_unitary",
         lambda original: lambda n, n_prime: original(n, n_prime)[:-1],
         "unipotent-theta",
         3,
         {"unitary-pair-parity"},
-        marks=pytest.mark.xfail(
-            strict=True,
-            reason="unitary-pair-parity checks only that no AssertionError "
-            "is raised, not the pair set (ROADMAP item 5)",
-        ),
     ),
 }
 

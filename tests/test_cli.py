@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
-from thetacalc.cli import main
+import thetacalc
+from thetacalc.cli import MAX_QUERY_SIZE, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -265,3 +271,62 @@ def test_out_file(tmp_path, capsys):
     assert code == 0 and out == ""
     content = target.read_text(encoding="utf-8")
     assert content.splitlines()[0].startswith("symbol,rank")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["theta", "first", "--group", "sp", "--symbol", "40,30|20", "--target", "o+"],
+        ["theta", "partners", "--pair", "sp:o+", "--rank", "30", "--corank", "30"],
+        ["theta", "first", "--target", "u-even", "--char", '{"family":"u","n":100,"lambda1":"100"}'],
+        ["theta", "first", "--group", "u", "--symbol", str(MAX_QUERY_SIZE + 1), "--target", "u-odd"],
+        ["theta", "partners", "--pair", "u:u", "--rank", "0", "--corank", str(MAX_QUERY_SIZE + 1)],
+    ],
+)
+def test_oversized_query_is_bad_input(capsys, argv):
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.monotonic() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "query size limit" in err
+    assert "Traceback" not in err
+
+
+def test_query_at_the_size_limit_answers(capsys):
+    code, out, err = run_cli(
+        capsys, "theta", "first", "--group", "u", "--symbol", str(MAX_QUERY_SIZE),
+        "--target", "u-odd", "--format", "json",
+    )
+    assert code == 0 and err == ""
+    assert json.loads(out)[0]["agree"] is True
+
+
+def _fresh_process(argv):
+    """(exit, stdout, stderr) of `python -m thetacalc.cli argv` in a new
+    interpreter, with help wrapped at 80 columns."""
+    src = str(Path(thetacalc.__file__).resolve().parent.parent)
+    env = {**os.environ, "COLUMNS": "80", "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-m", "thetacalc.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_repeated_calls_share_one_parser_and_leak_nothing(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [
+        ["verify", "--suite", "symbol-lemmas", "--max-rank", "1", "--format", "json", "--seed", "7"],
+        ["verify", "--suite", "symbol-lemmas"],
+        ["verify", "--max-rank", "x"],
+        ["--help"],
+    ]
+    built = build_parser.cache_info().misses
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == _fresh_process(argv), argv
+    assert build_parser.cache_info().misses - built <= 1
