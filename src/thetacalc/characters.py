@@ -37,6 +37,7 @@ from .symbols import (
     delta_symbol,
     enumerate_series,
     format_symbol,
+    is_cuspidal,
     normalize,
     orth_sign,
     parse_symbol,
@@ -355,8 +356,6 @@ def c_twist(rho: GeneralCharacter) -> GeneralCharacter:
 
 def is_cuspidal_character(rho: GeneralCharacter) -> bool:
     """Modeling rule: no blocks and every unipotent component cuspidal."""
-    from .symbols import is_cuspidal
-
     if rho.blocks:
         return False
     if rho.family == U_FAMILY:

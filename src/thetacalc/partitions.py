@@ -98,7 +98,11 @@ def beta_set_of(lam: Partition, n_slots: int) -> BetaSet:
 
 
 def partition_of_beta(beta: BetaSet) -> Partition:
-    """Inverse of beta_set_of: subtract the staircase and strip zeros."""
+    """Inverse of beta_set_of: subtract the staircase and strip zeros.
+
+    The parts go through partition(), so a row that is not a beta-set
+    raises its ValueError.
+    """
     m = len(beta)
     return partition(beta[i] - (m - (i + 1)) for i in range(m))
 

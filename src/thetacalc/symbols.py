@@ -46,7 +46,12 @@ def _check_beta(row) -> BetaSet:
 
 @dataclass(frozen=True)
 class Symbol:
-    """Ordered pair of beta-sets; equality is structural (use normalize)."""
+    """Ordered pair of beta-sets; equality is structural (use normalize).
+
+    Symbol(top, bottom) checks both rows.  Derived symbols (normalize,
+    shift, transpose and the theta maps) are built from rows that are
+    valid whenever their input symbol is, without checking them again.
+    """
 
     top: BetaSet
     bottom: BetaSet
@@ -54,6 +59,19 @@ class Symbol:
     def __post_init__(self):
         object.__setattr__(self, "top", _check_beta(self.top))
         object.__setattr__(self, "bottom", _check_beta(self.bottom))
+
+
+def _valid_symbol(top: BetaSet, bottom: BetaSet) -> Symbol:
+    """A symbol from rows that are beta-sets by construction, built
+    without the checks of __post_init__.
+
+    The caller guarantees what __post_init__ would check: each row is a
+    tuple of non-negative ints in strictly decreasing order.
+    """
+    sym = object.__new__(Symbol)
+    object.__setattr__(sym, "top", top)
+    object.__setattr__(sym, "bottom", bottom)
+    return sym
 
 
 @dataclass(frozen=True)
@@ -97,7 +115,7 @@ def shift(sym: Symbol, steps: int = 1) -> Symbol:
     for _ in range(steps):
         top = tuple(x + 1 for x in top) + (0,)
         bottom = tuple(x + 1 for x in bottom) + (0,)
-    return Symbol(top, bottom)
+    return _valid_symbol(top, bottom)
 
 
 def normalize(sym: Symbol) -> Symbol:
@@ -111,7 +129,7 @@ def normalize(sym: Symbol) -> Symbol:
     while top and bottom and top[-1] == 0 and bottom[-1] == 0:
         top = tuple(x - 1 for x in top[:-1])
         bottom = tuple(x - 1 for x in bottom[:-1])
-    return Symbol(top, bottom)
+    return _valid_symbol(top, bottom)
 
 
 def equivalent(a: Symbol, b: Symbol) -> bool:
@@ -119,7 +137,7 @@ def equivalent(a: Symbol, b: Symbol) -> bool:
 
 
 def transpose(sym: Symbol) -> Symbol:
-    return Symbol(sym.bottom, sym.top)
+    return _valid_symbol(sym.bottom, sym.top)
 
 
 def rank(sym: Symbol) -> int:

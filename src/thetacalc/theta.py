@@ -20,6 +20,7 @@ from .symbols import (
     SeriesError,
     SeriesTag,
     Symbol,
+    _valid_symbol,
     defect,
     delta_symbol,
     enumerate_series,
@@ -150,16 +151,16 @@ def theta_zero_plus(sym: Symbol) -> Symbol:
     """Minimal partner map for the sign +1 relation (any symbol)."""
     top, bottom = sym.top, sym.bottom
     if top:
-        return normalize(Symbol(bottom, top[1:]))
-    return normalize(Symbol(tuple(x + 1 for x in bottom) + (0,), ()))
+        return normalize(_valid_symbol(bottom, top[1:]))
+    return normalize(_valid_symbol(tuple(x + 1 for x in bottom) + (0,), ()))
 
 
 def theta_zero_minus(sym: Symbol) -> Symbol:
     """Minimal partner map for the sign -1 relation (any symbol)."""
     top, bottom = sym.top, sym.bottom
     if bottom:
-        return normalize(Symbol(bottom[1:], top))
-    return normalize(Symbol((), tuple(x + 1 for x in top) + (0,)))
+        return normalize(_valid_symbol(bottom[1:], top))
+    return normalize(_valid_symbol((), tuple(x + 1 for x in top) + (0,)))
 
 
 def theta_zero_sp(sym: Symbol, sign: int) -> Symbol:

@@ -79,6 +79,21 @@ def test_partition_of_beta_examples():
     assert partition_of_beta((2,)) == (2,)
 
 
+@pytest.mark.parametrize(
+    "beta, message",
+    [
+        ((1, 2), "parts not weakly decreasing: (0, 2)"),
+        ((0, 0), "parts not weakly decreasing: (-1, 0)"),
+        ((3, 3, 0), "parts not weakly decreasing: (1, 2, 0)"),
+        ((2, -1), "negative part in (1, -1)"),
+    ],
+)
+def test_partition_of_beta_rejects_non_beta_sets(beta, message):
+    with pytest.raises(ValueError) as info:
+        partition_of_beta(beta)
+    assert str(info.value) == message
+
+
 @given(partitions_st, st.integers(0, 4))
 def test_beta_round_trip(lam, extra):
     slots = len(lam) + extra

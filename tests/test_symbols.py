@@ -33,14 +33,9 @@ from thetacalc import (
     upsilon_size,
 )
 from oracles import exhaustive_symbol_classes
+from strategies import symbols_st
 
 S = parse_symbol
-
-
-beta_rows = st.lists(st.integers(0, 12), max_size=5).map(
-    lambda xs: tuple(sorted(set(xs), reverse=True))
-)
-symbols_st = st.builds(Symbol, beta_rows, beta_rows)
 
 
 def test_symbol_validation():
