@@ -194,7 +194,10 @@ def cmd_enumerate(args) -> int:
 
 
 def _check_size(what: str, size: int) -> None:
-    """Reject a query larger than MAX_QUERY_SIZE as bad input (exit 2)."""
+    """Reject a negative query size, or one larger than MAX_QUERY_SIZE, as
+    bad input (exit 2)."""
+    if size < 0:
+        raise ValueError(f"{what} {size} is negative")
     if size > MAX_QUERY_SIZE:
         raise ValueError(f"{what} {size} is over the query size limit {MAX_QUERY_SIZE}")
 

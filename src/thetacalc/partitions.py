@@ -12,6 +12,7 @@ is pure, so values can be shared freely across threads.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Iterator
 
 Partition = tuple[int, ...]
 BetaSet = tuple[int, ...]
@@ -75,16 +76,72 @@ def bipartitions_of(n: int) -> tuple[tuple[Partition, Partition], ...]:
 
 
 def interleaves(lam: Partition, mu: Partition) -> bool:
-    """Whether mu_1 >= lam_1 >= mu_2 >= lam_2 >= ... with zero padding."""
-    span = max(len(lam), len(mu))
+    """Whether mu_1 >= lam_1 >= mu_2 >= lam_2 >= ... with zero padding.
 
-    def lam_at(i: int) -> int:
-        return lam[i] if i < len(lam) else 0
+    That is, whether mu is lam plus a horizontal strip (Macdonald,
+    *Symmetric Functions and Hall Polynomials*, I.1 and I.5).  Rows
+    past a partition's length are zeros, so mu has len(lam) or
+    len(lam) + 1 rows unless trailing zeros make up the difference;
+    row counts reject most pairs before any part is compared.
+    """
+    rows = len(lam)
+    if len(mu) > rows + 1:
+        if any(mu[rows + 1 :]):
+            return False
+        mu = mu[: rows + 1]
+    elif len(mu) < rows:
+        if any(lam[len(mu) :]):
+            return False
+        rows = len(mu)
+    upper = mu[0] if mu else 0
+    for i in range(rows):
+        lower = mu[i + 1] if i + 1 < len(mu) else 0
+        if not upper >= lam[i] >= lower:
+            return False
+        upper = lower
+    return upper >= 0
 
-    def mu_at(i: int) -> int:
-        return mu[i] if i < len(mu) else 0
 
-    return all(mu_at(i) >= lam_at(i) >= mu_at(i + 1) for i in range(span))
+def partitions_above(lam: Partition, size: int) -> Iterator[Partition]:
+    """Every partition mu of `size` with interleaves(lam, mu): lam plus a
+    horizontal strip of size - |lam| cells, which may open one new row."""
+    extra = size - sum(lam)
+    top = (lam[0] if lam else 0) + extra
+    return _between(lam + (0,), (top,) + lam, extra)
+
+
+def partitions_below(mu: Partition, size: int) -> Iterator[Partition]:
+    """Every partition lam of `size` with interleaves(lam, mu): mu less a
+    horizontal strip of |mu| - size cells."""
+    lows = mu[1:] + (0,) if mu else ()
+    return _between(lows, mu, size - sum(lows))
+
+
+def _between(lows: Partition, highs: Partition, extra: int) -> Iterator[Partition]:
+    """The partitions lows + x with 0 <= x_i <= highs_i - lows_i and
+    |x| = extra, trailing zeros stripped.
+
+    Each row takes at least what the rows after it cannot hold, so
+    every branch of the search ends in an output.
+    """
+    rows = len(lows)
+    reach = [0] * (rows + 1)
+    for i in reversed(range(rows)):
+        reach[i] = reach[i + 1] + highs[i] - lows[i]
+
+    def fill(i: int, left: int) -> Iterator[Partition]:
+        if i == rows:
+            yield ()
+            return
+        for take in range(max(0, left - reach[i + 1]), min(left, highs[i] - lows[i]) + 1):
+            for rest in fill(i + 1, left - take):
+                yield (lows[i] + take,) + rest
+
+    if 0 <= extra <= reach[0]:
+        for parts in fill(0, extra):
+            while parts and parts[-1] == 0:
+                parts = parts[:-1]
+            yield parts
 
 
 def beta_set_of(lam: Partition, n_slots: int) -> BetaSet:

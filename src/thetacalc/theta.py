@@ -10,8 +10,15 @@ behind the preservation principle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
-from .partitions import Partition, interleaves, partitions_of
+from .partitions import (
+    Partition,
+    interleaves,
+    partitions_above,
+    partitions_below,
+    partitions_of,
+)
 from .symbols import (
     SP,
     O_MINUS,
@@ -22,6 +29,7 @@ from .symbols import (
     Symbol,
     _valid_symbol,
     defect,
+    defect_floor,
     delta_symbol,
     enumerate_series,
     normalize,
@@ -29,6 +37,7 @@ from .symbols import (
     partition_of_beta,
     rank,
     series_by_defect,
+    staircase_index,
     symbol_from_partition,
     symbol_with,
     transpose,
@@ -113,16 +122,41 @@ def in_b_uu(l1: Symbol, l2: Symbol) -> bool:
     return b_uu_branch(l1, l2) is not None
 
 
+def _strip_lifts(sym: Symbol, sign: int, size: int) -> Iterator[tuple[Partition, Partition]]:
+    """Every upsilon pair (upper, lower) of total size `size` whose
+    symbols b, of any defect, satisfy in_b_relation(sym, b, sign).
+
+    Two partitions interleave exactly when one is the other plus a
+    horizontal strip (Pieri rule; Macdonald, *Symmetric Functions and
+    Hall Polynomials*, I.5).  Sign +1 adds a strip to Y(sym.bottom) for
+    the upper row and removes one from Y(sym.top) for the lower row;
+    sign -1 is the row-swapped mirror.  No relation is tested.
+    """
+    upper, lower = upsilon(sym)
+    grow, shrink = (lower, upper) if sign > 0 else (upper, lower)
+    for kept in range(min(sum(shrink), size - sum(grow)) + 1):
+        for small in partitions_below(shrink, kept):
+            for big in partitions_above(grow, size - kept):
+                yield (big, small) if sign > 0 else (small, big)
+
+
 def weil_pairs(n: int, sign: int, n_prime: int) -> list[tuple[Symbol, Symbol]]:
     """All correspondence pairs between the rank-n symplectic series and
-    the rank-n_prime even-orthogonal series of the given sign."""
-    family = O_PLUS if sign > 0 else O_MINUS
-    pairs = [
-        (a, b)
-        for a in enumerate_series(SeriesTag(SP, n))
-        for b in enumerate_series(SeriesTag(family, n_prime))
-        if in_b_sp_oeven(a, b, sign)
-    ]
+    the rank-n_prime even-orthogonal series of the given sign.
+
+    Generated, not scanned: each symplectic a has partner defect
+    -def(a) + sign, which with n_prime fixes the size of the partner's
+    upsilon pair, and its partners are the horizontal strips of
+    _strip_lifts (Pieri rule; Macdonald, I.5).  Neither in_b_sp_oeven
+    nor in_b_relation is called.
+    """
+    if min(n, n_prime) < 0:
+        raise ValueError("ranks must be non-negative")
+    pairs = []
+    for a in enumerate_series(SeriesTag(SP, n)):
+        d = -defect(a) + sign
+        lifts = _strip_lifts(a, sign, n_prime - defect_floor(d))
+        pairs += [(a, symbol_with(upper, lower, d)) for upper, lower in lifts]
     return sorted(
         pairs, key=lambda p: (defect(p[0]), p[0].top, p[0].bottom, defect(p[1]), p[1].top, p[1].bottom)
     )
@@ -130,20 +164,34 @@ def weil_pairs(n: int, sign: int, n_prime: int) -> list[tuple[Symbol, Symbol]]:
 
 def weil_pairs_unitary(n: int, n_prime: int) -> list[tuple[Partition, Partition]]:
     """All partition pairs (|lam| = n, |lam'| = n_prime) whose unitary
-    symbols are related; asserts the branch matches the parity of n + n'."""
+    symbols are related; asserts the branch matches the parity of n + n'.
+
+    Generated like weil_pairs: on each branch the partner symbol has
+    the even defect of the branch's table (-d on +1, -d - 2 on -1),
+    which with n_prime fixes the size of its upsilon pair, and its
+    partners are the horizontal strips of _strip_lifts.  Neither
+    b_uu_branch nor in_b_relation is called.
+    """
+    if min(n, n_prime) < 0:
+        raise ValueError("ranks must be non-negative")
     expected_branch = 1 if (n + n_prime) % 2 == 0 else -1
     out = []
     for lam in partitions_of(n):
         s1 = symbol_from_partition(lam)
-        for mu in partitions_of(n_prime):
-            branch = b_uu_branch(s1, symbol_from_partition(mu))
-            if branch is None:
+        d = defect(s1)
+        for branch, partner_defect in ((1, -d), (-1, -d - 2)):
+            # n_prime is the 2-core's size plus twice the upsilon size.
+            rows = staircase_index(partner_defect)
+            cells = n_prime - rows * (rows + 1) // 2
+            if cells < 0 or cells % 2:
                 continue
-            if branch != expected_branch:
-                raise AssertionError(
-                    f"unitary branch {branch} violates the parity rule for {lam}, {mu}"
-                )
-            out.append((lam, mu))
+            for upper, lower in _strip_lifts(s1, branch, cells // 2):
+                mu = partition_from_symbol(symbol_with(upper, lower, partner_defect))
+                if branch != expected_branch:
+                    raise AssertionError(
+                        f"unitary branch {branch} violates the parity rule for {lam}, {mu}"
+                    )
+                out.append((lam, mu))
     return sorted(out)
 
 

@@ -149,6 +149,29 @@ def suite_symbol_lemmas(max_rank: int, seed: int) -> list[CheckReport]:
     ]
 
 
+def pair_scan(n: int, sign: int, n_prime: int) -> set:
+    """The oracle of weil_pairs: every pair of the two series, tested
+    with in_b_sp_oeven."""
+    family = O_PLUS if sign > 0 else O_MINUS
+    return {
+        (a, b)
+        for a in enumerate_series(SeriesTag(SP, n))
+        for b in enumerate_series(SeriesTag(family, n_prime))
+        if in_b_sp_oeven(a, b, sign)
+    }
+
+
+def unitary_pair_scan(n: int, n_prime: int) -> set:
+    """The oracle of weil_pairs_unitary: every pair of partitions, tested
+    with in_b_uu."""
+    return {
+        (lam, mu)
+        for lam in partitions_of(n)
+        for mu in partitions_of(n_prime)
+        if in_b_uu(symbol_from_partition(lam), symbol_from_partition(mu))
+    }
+
+
 def suite_unipotent_theta(max_rank: int, seed: int) -> list[CheckReport]:
     """Brute-force first occurrences against the theta maps, the pair-set
     decompositions, and the unitary preservation sums."""
@@ -175,18 +198,12 @@ def suite_unipotent_theta(max_rank: int, seed: int) -> list[CheckReport]:
             for n_prime in range(bound + 1):
                 for sign, fam in ((1, O_PLUS), (-1, O_MINUS)):
                     pairs = weil_pairs(n, sign, n_prime)
-                    oracle = {
-                        (a, b)
-                        for a in enumerate_series(SeriesTag(SP, n))
-                        for b in enumerate_series(SeriesTag(fam, n_prime))
-                        if in_b_sp_oeven(a, b, sign)
-                    }
                     outside = [
                         {"pair": (format_symbol(a), format_symbol(b))}
                         for a, b in pairs
                         if not series_contains(SeriesTag(fam, n_prime), b)
                     ]
-                    if len(pairs) != len(set(pairs)) or set(pairs) != oracle:
+                    if len(pairs) != len(set(pairs)) or set(pairs) != pair_scan(n, sign, n_prime):
                         outside.insert(0, {"n": n, "n_prime": n_prime, "sign": sign})
                     yield outside
 
@@ -198,12 +215,7 @@ def suite_unipotent_theta(max_rank: int, seed: int) -> list[CheckReport]:
                 except AssertionError:
                     yield [{"n": n, "n_prime": n_prime}]
                     continue
-                oracle = {
-                    (lam, mu)
-                    for lam in partitions_of(n)
-                    for mu in partitions_of(n_prime)
-                    if in_b_uu(symbol_from_partition(lam), symbol_from_partition(mu))
-                }
+                oracle = unitary_pair_scan(n, n_prime)
                 if len(pairs) == len(set(pairs)) and set(pairs) == oracle:
                     yield []
                 else:

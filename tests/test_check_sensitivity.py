@@ -61,6 +61,19 @@ def _non_cuspidal_pseudo_pair(original):
     return mutant
 
 
+def _any_strip_removed(original):
+    # Every partition of the size inside mu, whether or not mu less it
+    # is a horizontal strip.
+    def mutant(mu, size):
+        return (
+            lam
+            for lam in partitions.partitions_of(size)
+            if len(lam) <= len(mu) and all(a <= b for a, b in zip(lam, mu))
+        )
+
+    return mutant
+
+
 # mutant id -> (function, fault, suite, bound, checks expected to FAIL)
 MUTANTS = {
     "unitary-closed-size-plus-two": (
@@ -107,14 +120,24 @@ MUTANTS = {
         lambda original: lambda lhs, rhs, sign: original(lhs, rhs, -sign),
         "unipotent-theta",
         2,
-        {"first-occurrence-symplectic", "first-occurrence-orthogonal"},
+        {
+            "first-occurrence-symplectic",
+            "first-occurrence-orthogonal",
+            "weil-pair-sets",
+            "unitary-pair-parity",
+        },
     ),
     "interleaves-always-true": (
         "interleaves",
         lambda original: lambda lam, mu: True,
         "unipotent-theta",
         2,
-        {"first-occurrence-symplectic", "first-occurrence-orthogonal"},
+        {
+            "first-occurrence-symplectic",
+            "first-occurrence-orthogonal",
+            "weil-pair-sets",
+            "unitary-pair-parity",
+        },
     ),
     "weil-pairs-drops-a-pair": (
         "weil_pairs",
@@ -122,6 +145,20 @@ MUTANTS = {
         "unipotent-theta",
         2,
         {"weil-pair-sets"},
+    ),
+    "strip-added-one-cell-too-long": (
+        "partitions_above",
+        lambda original: lambda lam, size: original(lam, size + 1),
+        "unipotent-theta",
+        2,
+        {"weil-pair-sets", "unitary-pair-parity"},
+    ),
+    "strip-removed-not-horizontal": (
+        "partitions_below",
+        _any_strip_removed,
+        "unipotent-theta",
+        4,
+        {"weil-pair-sets", "unitary-pair-parity"},
     ),
     "extremal-delta-drops-a-symbol": (
         "extremal_delta_symbols",

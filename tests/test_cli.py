@@ -146,6 +146,17 @@ def test_theta_partners(capsys):
     assert json.loads(out) == [{"kind": "pair-list", "left": "", "right": "1"}]
 
 
+@pytest.mark.parametrize("pair", ["sp:o+", "sp:o-", "u:u"])
+@pytest.mark.parametrize("rank, corank", [("-1", "2"), ("2", "-1"), ("-3", "-3")])
+def test_theta_partners_negative_rank_is_bad_input(capsys, pair, rank, corank):
+    code, out, err = run_cli(
+        capsys, "theta", "partners", "--pair", pair, "--rank", rank, "--corank", corank
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "negative" in err
+    assert "Traceback" not in err
+
+
 def test_theta_first_bad_input(capsys):
     code, _, err = run_cli(
         capsys, "theta", "first", "--group", "sp", "--symbol", "xx", "--target", "o+"

@@ -11,6 +11,7 @@ from thetacalc import (
     partitions_of,
     two_core,
 )
+from thetacalc.partitions import partitions_above, partitions_below
 from oracles import all_two_cores_by_removal, two_core_by_removal
 
 
@@ -51,6 +52,39 @@ def test_interleaves_examples():
     assert not interleaves((), (1, 1))
     assert interleaves((2, 1), (3, 1))
     assert not interleaves((3,), (2,))
+
+
+def _interleaves_by_definition(lam, mu):
+    """mu_i >= lam_i >= mu_{i+1} for every row of either, zero-padded."""
+    span = max(len(lam), len(mu))
+
+    def at(parts, i):
+        return parts[i] if i < len(parts) else 0
+
+    return all(at(mu, i) >= at(lam, i) >= at(mu, i + 1) for i in range(span))
+
+
+def test_interleaves_matches_its_padded_definition():
+    small = [lam for n in range(11) for lam in partitions_of(n)]
+    pairs = [(lam, mu) for lam in small for mu in small]
+    assert len(pairs) == 19_321
+    # Trailing zeros and empty inputs on either side.
+    tiny = small[:30]
+    zeros = ((), (0,), (0, 0), (0, 0, 0))
+    pairs += [(lam + a, mu + b) for lam in tiny for mu in tiny for a in zeros for b in zeros]
+    for lam, mu in pairs:
+        assert interleaves(lam, mu) == _interleaves_by_definition(lam, mu), (lam, mu)
+
+
+def test_horizontal_strips_are_the_interleaving_partitions():
+    for lam in (lam for n in range(8) for lam in partitions_of(n)):
+        for size in range(-1, 10):
+            pool = partitions_of(size) if size >= 0 else ()
+            above = list(partitions_above(lam, size))
+            below = list(partitions_below(lam, size))
+            assert sorted(above) == sorted(mu for mu in pool if interleaves(lam, mu))
+            assert sorted(below) == sorted(mu for mu in pool if interleaves(mu, lam))
+            assert len(set(above)) == len(above) and len(set(below)) == len(below)
 
 
 def test_interleaves_reflexive_and_size_monotone():

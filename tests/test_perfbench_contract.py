@@ -1,11 +1,13 @@
 """The benchmark's contract with the package, as a fast test.
 
-A trimmed traced pass of each perfbench workload must run without a
-failed operation, leave no layer that the workload is meant to load at
+A traced pass over a sample of each perfbench workload must run without
+a failed operation, leave no layer that the workload is meant to load at
 zero, and reproduce the recorded seed-0 digest of every checked
-operation.  The pass runs `perfbench/child.py` in a fresh interpreter,
-exactly as `perfbench/run.py` does; nothing under `perfbench/` is
-changed.
+operation.  The sample takes the first operation of every stratum of the
+workload, so it reaches the largest inputs (rank-9 symbols, size-12
+partitions) and not only the cheap start of a pass.  The pass runs
+`perfbench/child.py` in a fresh interpreter, exactly as
+`perfbench/run.py` does; nothing under `perfbench/` is changed.
 """
 
 import json
@@ -18,7 +20,6 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "perfbench"
-FIRST_OPS = 60
 MAX_CHECK_M = 1
 
 
@@ -33,19 +34,45 @@ def bench():
         yield run, workloads
 
 
-def _trimmed(ops: list[dict]) -> list[int]:
-    """Indices of the first FIRST_OPS non-check operations and of the
-    cuspidal checks with m <= MAX_CHECK_M, in workload order."""
-    plain = [i for i, op in enumerate(ops) if "check" not in op][:FIRST_OPS]
-    checks = [i for i, op in enumerate(ops) if "check" in op and op["m"] <= MAX_CHECK_M]
-    return sorted(plain + checks)
+def _rows(literal: str) -> list[tuple[int, ...]]:
+    return [tuple(int(x) for x in row.split(",") if x) for row in literal.split("|")]
+
+
+def _stratum(op: dict, workloads) -> tuple | None:
+    """What sets an operation's cost and kind, or None for the cuspidal
+    checks with m > MAX_CHECK_M, which are left out for time."""
+    if "source" in op:
+        top, bottom = _rows(op["source"])
+        return "symbol", (len(top) - len(bottom)) % 4, op["target"], workloads._rank(top, bottom)
+    if "partition" in op:
+        return "partition", op["parity"], sum(sum(row) for row in _rows(op["partition"]))
+    if "check" in op:
+        return ("check", op["check"], op["m"]) if op["m"] <= MAX_CHECK_M else None
+    if "char" in op:
+        char = json.loads(op["char"])
+        return "char", char["family"], op["target"], char["n"]
+    return "cli", op["kind"], op.get("corruption"), op["argv"][-1]
+
+
+def _sampled(ops: list[dict], workloads) -> list[int]:
+    """Indices of the first operation of every stratum, in workload order."""
+    first = {}
+    for i, op in enumerate(ops):
+        key = _stratum(op, workloads)
+        if key is not None:
+            first.setdefault(key, i)
+    return sorted(first.values())
 
 
 @pytest.mark.parametrize("workload", ["unipotent-oracle", "character-oracle", "cli-queries"])
 def test_traced_pass_keeps_the_benchmark_contract(bench, workload, tmp_path):
     run, workloads = bench
     ops = workloads.generate(workload, 0)
-    indices = _trimmed(ops)
+    indices = _sampled(ops, workloads)
+    if workload == "unipotent-oracle":
+        strata = [_stratum(ops[i], workloads) for i in indices]
+        assert max(s[-1] for s in strata if s[0] == "symbol") == workloads.UNIPOTENT_MAX_RANK
+        assert max(s[-1] for s in strata if s[0] == "partition") == workloads.UNITARY_MAX_SIZE
     ops_file = tmp_path / "ops.json"
     ops_file.write_text(json.dumps([ops[i] for i in indices]))
     proc = subprocess.run(

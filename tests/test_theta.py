@@ -34,6 +34,7 @@ from thetacalc import (
     weil_pairs,
     weil_pairs_unitary,
 )
+from thetacalc.verify import pair_scan, unitary_pair_scan
 
 S = parse_symbol
 
@@ -97,18 +98,12 @@ def test_weil_pairs_examples():
 
 
 def test_weil_pairs_against_double_loop():
-    for n in range(4):
-        for n_prime in range(4):
-            for sign, fam in ((1, O_PLUS), (-1, O_MINUS)):
+    for n in range(7):
+        for n_prime in range(7):
+            for sign in (1, -1):
                 pairs = weil_pairs(n, sign, n_prime)
                 assert len(pairs) == len(set(pairs))
-                oracle = {
-                    (a, b)
-                    for a in enumerate_series(SeriesTag(SP, n))
-                    for b in enumerate_series(SeriesTag(fam, n_prime))
-                    if in_b_sp_oeven(a, b, sign)
-                }
-                assert set(pairs) == oracle
+                assert set(pairs) == pair_scan(n, sign, n_prime), (n, sign, n_prime)
 
 
 def test_weil_pairs_unitary_examples():
@@ -118,9 +113,21 @@ def test_weil_pairs_unitary_examples():
 
 
 def test_weil_pairs_unitary_parity_rule():
-    for n in range(5):
-        for n_prime in range(5):
-            weil_pairs_unitary(n, n_prime)  # raises if a branch violates parity
+    # weil_pairs_unitary raises if a branch violates parity.
+    for n in range(9):
+        for n_prime in range(9):
+            pairs = weil_pairs_unitary(n, n_prime)
+            assert len(pairs) == len(set(pairs))
+            assert set(pairs) == unitary_pair_scan(n, n_prime), (n, n_prime)
+
+
+@pytest.mark.parametrize("n, n_prime", [(-1, 0), (0, -1), (2, -3)])
+def test_weil_pairs_reject_negative_ranks(n, n_prime):
+    for sign in (1, -1):
+        with pytest.raises(ValueError):
+            weil_pairs(n, sign, n_prime)
+    with pytest.raises(ValueError):
+        weil_pairs_unitary(n, n_prime)
 
 
 def test_theta_zero_sp_examples():
