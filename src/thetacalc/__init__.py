@@ -78,14 +78,7 @@ from .theta import (
 )
 from .characters import (
     CharacterError,
-    DimensionMismatchError,
     GeneralCharacter,
-    MissingSignBitError,
-    SpuriousFieldError,
-    UnsupportedPairError,
-    UnsupportedTargetError,
-    WrongFamilyError,
-    WrongSeriesError,
     c_twist,
     char_dim,
     character_from_json,

@@ -98,35 +98,12 @@ _POOL_SERIES = {
 
 
 class CharacterError(ValueError):
-    pass
+    """A character or a request on one is invalid.
 
-
-class DimensionMismatchError(CharacterError):
-    pass
-
-
-class WrongSeriesError(CharacterError):
-    pass
-
-
-class MissingSignBitError(CharacterError):
-    pass
-
-
-class SpuriousFieldError(CharacterError):
-    pass
-
-
-class WrongFamilyError(CharacterError):
-    pass
-
-
-class UnsupportedPairError(CharacterError):
-    pass
-
-
-class UnsupportedTargetError(CharacterError):
-    pass
+    The message starts with a tag where the rule has a name:
+    dimension-mismatch, wrong-series, missing-sign-bit, spurious-field,
+    wrong-family, unsupported-pair or unsupported-target.
+    """
 
 
 Block = tuple[str, int]
@@ -154,17 +131,17 @@ def _check_blocks(family: str, blocks: tuple[Block, ...]) -> None:
     if any(dim < 1 for _, dim in blocks):
         raise CharacterError("block dimensions must be positive")
     if family != U_FAMILY and any(dim % 2 for _, dim in blocks):
-        raise DimensionMismatchError("dimension-mismatch: blocks must have even dims")
+        raise CharacterError("dimension-mismatch: blocks must have even dims")
 
 
 def _require_sp_series(sym: Symbol, who: str) -> None:
     if defect(sym) % 4 != 1:
-        raise WrongSeriesError(f"wrong-series: {who} must have defect 1 mod 4")
+        raise CharacterError(f"wrong-series: {who} must have defect 1 mod 4")
 
 
 def _require_orth_series(sym: Symbol, who: str) -> None:
     if defect(sym) % 2 != 0:
-        raise WrongSeriesError(f"wrong-series: {who} must have even defect")
+        raise CharacterError(f"wrong-series: {who} must have even defect")
 
 
 @dataclass(frozen=True)
@@ -195,12 +172,10 @@ class GeneralCharacter:
         if self.family == U_FAMILY:
             for field in ("lambda2", "epsilon", "sign"):
                 if getattr(self, field) is not None:
-                    raise SpuriousFieldError(f"spurious-field: {field} on a unitary character")
+                    raise CharacterError(f"spurious-field: {field} on a unitary character")
             object.__setattr__(self, "lambda1", partition(self.lambda1))
             if self.n != d0 + sum(self.lambda1):
-                raise DimensionMismatchError(
-                    f"dimension-mismatch: n={self.n} != {d0} + |{self.lambda1}|"
-                )
+                raise CharacterError(f"dimension-mismatch: n={self.n} != {d0} + |{self.lambda1}|")
             return
 
         if not isinstance(self.lambda1, Symbol) or not isinstance(self.lambda2, Symbol):
@@ -210,33 +185,31 @@ class GeneralCharacter:
 
         if self.family == SP_FAMILY:
             if self.epsilon is not None or self.sign is not None:
-                raise SpuriousFieldError("spurious-field: epsilon/sign on a symplectic character")
+                raise CharacterError("spurious-field: epsilon/sign on a symplectic character")
             _require_orth_series(self.lambda1, "lambda1")
             _require_sp_series(self.lambda2, "lambda2")
         elif self.family == OEVEN_FAMILY:
             if self.sign is not None:
-                raise SpuriousFieldError("spurious-field: sign on an even-orthogonal character")
+                raise CharacterError("spurious-field: sign on an even-orthogonal character")
             _require_orth_series(self.lambda1, "lambda1")
             _require_orth_series(self.lambda2, "lambda2")
             derived = orth_sign(self.lambda1) * orth_sign(self.lambda2)
             if self.epsilon is None:
                 object.__setattr__(self, "epsilon", derived)
             elif self.epsilon != derived:
-                raise WrongSeriesError(
+                raise CharacterError(
                     f"wrong-series: epsilon {self.epsilon} != lambda series product {derived}"
                 )
         else:
             if self.epsilon is not None:
-                raise SpuriousFieldError("spurious-field: epsilon on an odd-orthogonal character")
+                raise CharacterError("spurious-field: epsilon on an odd-orthogonal character")
             if self.sign not in (1, -1):
-                raise MissingSignBitError("missing-sign-bit: odd-orthogonal characters need sign")
+                raise CharacterError("missing-sign-bit: odd-orthogonal characters need sign")
             _require_sp_series(self.lambda1, "lambda1")
             _require_sp_series(self.lambda2, "lambda2")
 
         if 2 * self.n != d0 + 2 * rank(self.lambda1) + 2 * rank(self.lambda2):
-            raise DimensionMismatchError(
-                "dimension-mismatch: 2n != d0 + 2 rk(lambda1) + 2 rk(lambda2)"
-            )
+            raise CharacterError("dimension-mismatch: 2n != d0 + 2 rk(lambda1) + 2 rk(lambda2)")
 
     @property
     def d0(self) -> int:
@@ -283,7 +256,7 @@ def make_character(
     sign=None,
     epsilon=None,
 ) -> GeneralCharacter:
-    """Validated character; raises the named CharacterError subclasses.
+    """Validated character; raises CharacterError with the rule's tag.
 
     family accepts the aliases "o+"/"o-" (even orthogonal with the sign
     baked in) and "o-odd" alongside the canonical names.
@@ -296,7 +269,7 @@ def make_character(
         raise CharacterError(f"unknown family {family!r}")
     if implied_epsilon is not None:
         if epsilon is not None and epsilon != implied_epsilon:
-            raise WrongSeriesError("wrong-series: epsilon contradicts the family alias")
+            raise CharacterError("wrong-series: epsilon contradicts the family alias")
         epsilon = implied_epsilon
     return GeneralCharacter(
         family=family,
@@ -344,13 +317,13 @@ def sgn_twist(rho: GeneralCharacter) -> GeneralCharacter:
         )
     if rho.family == OODD_FAMILY:
         return replace(rho, sign=-rho.sign)
-    raise WrongFamilyError("wrong-family: sgn twist applies to orthogonal characters")
+    raise CharacterError("wrong-family: sgn twist applies to orthogonal characters")
 
 
 def c_twist(rho: GeneralCharacter) -> GeneralCharacter:
     """The similitude-conjugation twist (symplectic family only)."""
     if rho.family != SP_FAMILY:
-        raise WrongFamilyError("wrong-family: c twist applies to symplectic characters")
+        raise CharacterError("wrong-family: c twist applies to symplectic characters")
     return replace(rho, lambda1=transpose(rho.lambda1))
 
 
@@ -393,20 +366,18 @@ def corresponds(rho: GeneralCharacter, rho_prime: GeneralCharacter) -> bool:
             and in_b_sp_oeven(rho_prime.lambda2, rho.lambda1, eps1)
             and rho_prime.sign == eps1
         )
-    raise UnsupportedPairError(f"unsupported-pair: {pair}")
+    raise CharacterError(f"unsupported-pair: {pair}")
 
 
 def _tower(rho: GeneralCharacter, target: str) -> tuple[str, int | None, int]:
     """The tower of a legal target of rho: partner family, epsilon and
     dimension parity."""
     if target not in TARGET_NAMES:
-        raise UnsupportedTargetError(f"unsupported-target: {target!r}")
+        raise CharacterError(f"unsupported-target: {target!r}")
     for (family, _), towers in TARGETS.items():
         if family == rho.family and target in towers:
             return towers[target]
-    raise UnsupportedTargetError(
-        f"unsupported-target: {target!r} for family {rho.family!r}"
-    )
+    raise CharacterError(f"unsupported-target: {target!r} for family {rho.family!r}")
 
 
 def first_occurrence_partner(
@@ -588,7 +559,7 @@ def odd_witt_split(rho: GeneralCharacter) -> tuple[int, int]:
     """First occurrences of a symplectic character in the two odd
     orthogonal towers; the second tower is the first tower of the twist."""
     if rho.family != SP_FAMILY:
-        raise WrongFamilyError("wrong-family: odd towers attach to symplectic characters")
+        raise CharacterError("wrong-family: odd towers attach to symplectic characters")
     return tuple(first_occurrence_general(rho, t) for t in TARGETS[(SP_FAMILY, "odd")])
 
 

@@ -230,8 +230,21 @@ def cmd_theta_partners(args) -> int:
     return 0
 
 
-def _first_occurrence_symbol(args) -> dict:
-    """Closed-form and oracle first occurrence for a series symbol."""
+def _character_literal(rho) -> str:
+    return json.dumps(character_to_json(rho))
+
+
+def _first_occurrence(args) -> tuple:
+    """(source, closed dim, partner, oracle dim, witnesses, literal
+    formatter) of a `theta first` query; the closed form runs first."""
+    if args.char:
+        rho = character_from_json(json.loads(args.char))
+        _check_size("--char n", rho.n)
+        closed_dim, partner = first_occurrence_partner(rho, args.target)
+        oracle_dim, witnesses = first_occurrence_general_brute(rho, args.target)
+        return rho, closed_dim, partner, oracle_dim, witnesses, _character_literal
+    if not args.group or args.symbol is None:
+        raise ValueError("need --group/--symbol or --char")
     towers = TARGETS[_GROUP_KIND[args.group]]
     if args.target not in towers:
         raise SeriesError(f"target {args.target!r} invalid for group {args.group}")
@@ -239,58 +252,32 @@ def _first_occurrence_symbol(args) -> dict:
     if args.group == UNITARY:
         lam = parse_partition(args.symbol)
         _check_size("partition size", sum(lam))
-        size, partner = first_occurrence_unitary_closed(lam, parity)
-        oracle = first_occurrence_unitary(lam, parity)
-        return {
-            "kind": "first-occurrence",
-            "source": format_partition(lam),
-            "target": args.target,
-            "closed_dim": size,
-            "oracle_dim": oracle.space_dimension,
-            "agree": size == oracle.space_dimension
-            and partner in oracle.witnesses,
-            "partner": format_partition(partner),
-            "witnesses": [format_partition(w) for w in oracle.witnesses],
-        }
-    sym = parse_symbol(args.symbol)
-    _check_size("symbol rank", rank(sym))
-    if series_of(sym) != args.group:
-        raise SeriesError(f"symbol {args.symbol!r} is not in the {args.group} series")
-    closed = theta_zero_sp(sym, sign) if args.group == SP else theta_zero_orth(sym)
-    oracle = first_occurrence_bruteforce(sym, args.target)
-    return {
-        "kind": "first-occurrence",
-        "source": format_symbol(normalize(sym)),
-        "target": args.target,
-        "closed_dim": 2 * rank(closed),
-        "oracle_dim": oracle.space_dimension,
-        "agree": oracle.space_dimension == 2 * rank(closed)
-        and closed in oracle.witnesses,
-        "partner": format_symbol(closed),
-        "witnesses": [format_symbol(w) for w in oracle.witnesses],
-    }
+        closed_dim, partner = first_occurrence_unitary_closed(lam, parity)
+        source, oracle, literal = lam, first_occurrence_unitary(lam, parity), format_partition
+    else:
+        sym = parse_symbol(args.symbol)
+        _check_size("symbol rank", rank(sym))
+        if series_of(sym) != args.group:
+            raise SeriesError(f"symbol {args.symbol!r} is not in the {args.group} series")
+        partner = theta_zero_sp(sym, sign) if args.group == SP else theta_zero_orth(sym)
+        closed_dim = 2 * rank(partner)
+        oracle = first_occurrence_bruteforce(sym, args.target)
+        source, literal = normalize(sym), format_symbol
+    return source, closed_dim, partner, oracle.space_dimension, oracle.witnesses, literal
 
 
 def cmd_theta_first(args) -> int:
-    if args.char:
-        rho = character_from_json(json.loads(args.char))
-        _check_size("--char n", rho.n)
-        dim, partner = first_occurrence_partner(rho, args.target)
-        oracle_dim, hits = first_occurrence_general_brute(rho, args.target)
-        record = {
-            "kind": "first-occurrence",
-            "source": json.dumps(character_to_json(rho)),
-            "target": args.target,
-            "closed_dim": dim,
-            "oracle_dim": oracle_dim,
-            "agree": dim == oracle_dim and partner in hits,
-            "partner": json.dumps(character_to_json(partner)),
-            "witnesses": [json.dumps(character_to_json(h)) for h in hits],
-        }
-    elif args.group and args.symbol is not None:
-        record = _first_occurrence_symbol(args)
-    else:
-        raise ValueError("need --group/--symbol or --char")
+    source, closed_dim, partner, oracle_dim, witnesses, literal = _first_occurrence(args)
+    record = {
+        "kind": "first-occurrence",
+        "source": literal(source),
+        "target": args.target,
+        "closed_dim": closed_dim,
+        "oracle_dim": oracle_dim,
+        "agree": closed_dim == oracle_dim and partner in witnesses,
+        "partner": literal(partner),
+        "witnesses": [literal(w) for w in witnesses],
+    }
     _emit(render([record], "first-occurrence", args.format), args.out)
     return 0 if record["agree"] else 1
 

@@ -98,22 +98,22 @@ def in_b_sp_oeven(sp_symbol: Symbol, orth_symbol: Symbol, sign: int) -> bool:
     return in_b_relation(sp_symbol, orth_symbol, sign)
 
 
-def _b_uu_targets(sign: int, d: int) -> tuple[int, int]:
-    """Allowed partner defects for the unitary relation, per branch."""
-    if sign > 0:
-        return (-d, -d + 1) if d % 2 == 0 else (-d + 1, -d + 2)
-    return (-d - 2, -d - 1) if d % 2 == 0 else (-d - 1, -d)
+def _b_uu_defect(sign: int, d: int) -> int:
+    """The partner defect of the unitary relation on a branch."""
+    return -d if sign > 0 else -d - 2
 
 
 def b_uu_branch(l1: Symbol, l2: Symbol) -> int | None:
     """Which branch (+1 / -1) relates the two unitary symbols, or None.
 
-    The defect tables of the two branches are disjoint, so at most one
-    branch can match.
+    The partner of an even-defect d symbol has defect -d on +1 and -d - 2
+    on -1, so at most one branch matches; an odd defect raises SeriesError.
     """
     d1, d2 = defect(l1), defect(l2)
+    if d1 % 2 or d2 % 2:
+        raise SeriesError(f"defect {d1 if d1 % 2 else d2} is odd; not a unitary symbol")
     for sign in (1, -1):
-        if d2 in _b_uu_targets(sign, d1) and in_b_relation(l1, l2, sign):
+        if d2 == _b_uu_defect(sign, d1) and in_b_relation(l1, l2, sign):
             return sign
     return None
 
@@ -204,11 +204,10 @@ def theta_zero_plus(sym: Symbol) -> Symbol:
 
 
 def theta_zero_minus(sym: Symbol) -> Symbol:
-    """Minimal partner map for the sign -1 relation (any symbol)."""
-    top, bottom = sym.top, sym.bottom
-    if bottom:
-        return normalize(_valid_symbol(bottom[1:], top))
-    return normalize(_valid_symbol((), tuple(x + 1 for x in top) + (0,)))
+    """Minimal partner map for the sign -1 relation (any symbol): the +1
+    map mirrored, as the -1 relation is the +1 relation on transposed
+    symbols (Aubert-Michel-Rouquier, Duke Math. J. 83, 1996)."""
+    return transpose(theta_zero_plus(transpose(sym)))
 
 
 def theta_zero_sp(sym: Symbol, sign: int) -> Symbol:
@@ -309,7 +308,7 @@ def first_occurrence_unitary(lam: Partition, parity: int) -> FirstOccurrence:
     if parity not in (0, 1):
         raise ValueError("parity must be 0 (even) or 1 (odd)")
     sym = symbol_from_partition(lam)
-    allowed = set(_b_uu_targets(1, defect(sym)) + _b_uu_targets(-1, defect(sym)))
+    allowed = {_b_uu_defect(1, defect(sym)), _b_uu_defect(-1, defect(sym))}
     cap = 2 * sum(lam) + 1 + _SCAN_MARGIN
     for size in range(parity, cap + 1, 2):
         witnesses = [

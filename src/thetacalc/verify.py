@@ -227,8 +227,9 @@ def suite_unipotent_theta(max_rank: int, seed: int) -> list[CheckReport]:
                 lhs, rhs = preservation_sum_unitary(lam)
                 failed = [] if lhs == rhs else [list(lam)]
                 for parity in (0, 1):
-                    size, _ = first_occurrence_unitary_closed(lam, parity)
-                    if size != first_occurrence_unitary(lam, parity).space_dimension:
+                    size, partner = first_occurrence_unitary_closed(lam, parity)
+                    oracle = first_occurrence_unitary(lam, parity)
+                    if size != oracle.space_dimension or partner not in oracle.witnesses:
                         failed.append({"partition": list(lam), "parity": parity})
                 yield failed
 
@@ -242,7 +243,7 @@ def suite_unipotent_theta(max_rank: int, seed: int) -> list[CheckReport]:
 
 
 def _sampled_preservation(
-    family: str, suite: str, seed: int, sp_targets: str | None
+    family: str, suite: str, sp_targets: str | None, seed: int
 ) -> list[CheckReport]:
     def samples(count: int):
         for i in range(count):
@@ -270,22 +271,14 @@ def _sampled_preservation(
     ]
 
 
-def suite_preservation_u(max_rank: int, seed: int) -> list[CheckReport]:
-    return _sampled_preservation(U_FAMILY, "preservation-u", seed, None)
+def _preservation(*cases):
+    """A suite of the sampled preservation checks of each (family, case,
+    sp_targets) row; the case name seeds case_rng."""
 
+    def suite(max_rank: int, seed: int) -> list[CheckReport]:
+        return [report for case in cases for report in _sampled_preservation(*case, seed)]
 
-def suite_preservation_o(max_rank: int, seed: int) -> list[CheckReport]:
-    return _sampled_preservation(
-        OEVEN_FAMILY, "preservation-o-even", seed, None
-    ) + _sampled_preservation(OODD_FAMILY, "preservation-o-odd", seed, None)
-
-
-def suite_preservation_sp_even(max_rank: int, seed: int) -> list[CheckReport]:
-    return _sampled_preservation(SP_FAMILY, "preservation-sp-even", seed, "even")
-
-
-def suite_preservation_sp_odd(max_rank: int, seed: int) -> list[CheckReport]:
-    return _sampled_preservation(SP_FAMILY, "preservation-sp-odd", seed, "odd")
+    return suite
 
 
 def suite_cuspidal_catalog(max_rank: int, seed: int) -> list[CheckReport]:
@@ -335,10 +328,12 @@ def suite_cuspidal_catalog(max_rank: int, seed: int) -> list[CheckReport]:
 SUITES = {
     "symbol-lemmas": suite_symbol_lemmas,
     "unipotent-theta": suite_unipotent_theta,
-    "preservation-u": suite_preservation_u,
-    "preservation-o": suite_preservation_o,
-    "preservation-sp-even": suite_preservation_sp_even,
-    "preservation-sp-odd": suite_preservation_sp_odd,
+    "preservation-u": _preservation((U_FAMILY, "preservation-u", None)),
+    "preservation-o": _preservation(
+        (OEVEN_FAMILY, "preservation-o-even", None), (OODD_FAMILY, "preservation-o-odd", None)
+    ),
+    "preservation-sp-even": _preservation((SP_FAMILY, "preservation-sp-even", "even")),
+    "preservation-sp-odd": _preservation((SP_FAMILY, "preservation-sp-odd", "odd")),
     "cuspidal-catalog": suite_cuspidal_catalog,
 }
 

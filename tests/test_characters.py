@@ -3,13 +3,7 @@ import random
 import pytest
 
 from thetacalc import (
-    DimensionMismatchError,
-    MissingSignBitError,
-    SpuriousFieldError,
-    UnsupportedPairError,
-    UnsupportedTargetError,
-    WrongFamilyError,
-    WrongSeriesError,
+    CharacterError,
     c_twist,
     char_dim,
     character_from_json,
@@ -54,26 +48,26 @@ def test_make_character_examples():
     assert is_cuspidal_character(rho1)
     # d0 4 + 2 rk + 0 = 6 is consistent; d0 6 is not
     make_character("sp", 3, [4], S("1|0"), S("0|"))
-    with pytest.raises(DimensionMismatchError, match="dimension-mismatch"):
+    with pytest.raises(CharacterError, match="dimension-mismatch"):
         make_character("sp", 3, [6], S("1|0"), S("0|"))
 
 
 def test_make_character_validation():
-    with pytest.raises(WrongSeriesError, match="wrong-series"):
+    with pytest.raises(CharacterError, match="wrong-series"):
         make_character("sp", 2, [], S("0|"), S("0|"))  # lambda1 odd defect
-    with pytest.raises(WrongSeriesError, match="wrong-series"):
+    with pytest.raises(CharacterError, match="wrong-series"):
         make_character("sp", 1, [], S("|"), S("1,0|"))  # lambda2 not symplectic
-    with pytest.raises(MissingSignBitError, match="missing-sign-bit"):
+    with pytest.raises(CharacterError, match="missing-sign-bit"):
         make_character("oodd", 1, [], S("0|"), S("1,0|1"))
-    with pytest.raises(SpuriousFieldError, match="spurious-field"):
+    with pytest.raises(CharacterError, match="spurious-field"):
         make_character("sp", 1, [], S("1,0|"), S("0|"), sign=1)
-    with pytest.raises(SpuriousFieldError, match="spurious-field"):
+    with pytest.raises(CharacterError, match="spurious-field"):
         make_character("u", 2, [], (2,), sign=1)
-    with pytest.raises(WrongSeriesError, match="wrong-series"):
+    with pytest.raises(CharacterError, match="wrong-series"):
         make_character("oeven", 1, [], S("1,0|"), S("|"), epsilon=1)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(CharacterError, match="dimension-mismatch"):
         make_character("u", 4, [2], (3,))
-    with pytest.raises(DimensionMismatchError, match="even"):
+    with pytest.raises(CharacterError, match="dimension-mismatch: blocks must have even"):
         make_character("sp", 2, [1, 1], S("|"), S("1,0|1"))
 
 
@@ -111,9 +105,9 @@ def test_twists():
     assert delta_char(c_twist(rho1), "odd") == delta_char(rho1, "odd")
     assert delta_char(c_twist(rho1), "even") == delta_char(rho1, "even")
 
-    with pytest.raises(WrongFamilyError, match="wrong-family"):
+    with pytest.raises(CharacterError, match="wrong-family"):
         sgn_twist(rho1)
-    with pytest.raises(WrongFamilyError, match="wrong-family"):
+    with pytest.raises(CharacterError, match="wrong-family"):
         c_twist(oe)
 
 
@@ -142,7 +136,7 @@ def test_corresponds_examples():
     assert oe.epsilon == -1
     assert corresponds(sp2_pseudo(), oe)
 
-    with pytest.raises(UnsupportedPairError, match="unsupported-pair"):
+    with pytest.raises(CharacterError, match="unsupported-pair"):
         corresponds(o0, o0)
 
 
@@ -157,9 +151,9 @@ def test_first_occurrence_general_examples():
     sp6 = make_character("sp", 3, [2], S("1|0"), S("1,0|1"))
     assert first_occurrence_general(sp6, "o+") == 6
     assert first_occurrence_general(sp6, "o-") == 6
-    with pytest.raises(UnsupportedTargetError, match="unsupported-target"):
+    with pytest.raises(CharacterError, match="unsupported-target"):
         first_occurrence_general(sp6, "u-even")
-    with pytest.raises(UnsupportedTargetError, match="unsupported-target"):
+    with pytest.raises(CharacterError, match="unsupported-target"):
         first_occurrence_general(sp6, "nowhere")
 
 

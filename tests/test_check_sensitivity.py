@@ -74,11 +74,31 @@ def _any_strip_removed(original):
     return mutant
 
 
+def _unitary_plus_branch_misplaced(original):
+    # The +1 branch of theta_zero_unitary with its rows in the wrong
+    # places: the partner has the right size, but for some partitions it
+    # is the wrong partition.
+    def mutant(sym, branch):
+        if branch > 0:
+            upper, lower = symbols.upsilon(sym)
+            return symbols.symbol_with(upper[1:], lower, -symbols.defect(sym))
+        return original(sym, branch)
+
+    return mutant
+
+
 # mutant id -> (function, fault, suite, bound, checks expected to FAIL)
 MUTANTS = {
     "unitary-closed-size-plus-two": (
         "first_occurrence_unitary_closed",
         _size_plus_two,
+        "unipotent-theta",
+        2,
+        {"unitary-preservation"},
+    ),
+    "unitary-plus-branch-misplaced": (
+        "theta_zero_unitary",
+        _unitary_plus_branch_misplaced,
         "unipotent-theta",
         2,
         {"unitary-preservation"},

@@ -50,7 +50,9 @@ def _stratum(op: dict, workloads) -> tuple | None:
         return ("check", op["check"], op["m"]) if op["m"] <= MAX_CHECK_M else None
     if "char" in op:
         char = json.loads(op["char"])
-        return "char", char["family"], op["target"], char["n"]
+        # Block labels are positional and sort as strings, so from ten
+        # blocks on the literal lists d0_blocks in label order, not by dim.
+        return "char", char["family"], op["target"], char["n"], len(char["d0_blocks"]) >= 10
     return "cli", op["kind"], op.get("corruption"), op["argv"][-1]
 
 

@@ -83,11 +83,16 @@ def test_in_b_sp_oeven_lands_in_series():
 def test_in_b_uu_examples():
     # computed with the scan oracle before freezing
     assert in_b_uu(S("|"), S("|"))
-    assert in_b_uu(S("|"), S("0|"))
-    assert in_b_uu(S("0|"), S("|1,0"))
-    assert b_uu_branch(S("0|"), S("|1,0")) == -1
     assert b_uu_branch(symbol_from_partition((2, 1)), symbol_from_partition((1,))) == 1
+    assert b_uu_branch(symbol_from_partition(()), symbol_from_partition((1,))) == -1
     assert b_uu_branch(symbol_from_partition((2,)), symbol_from_partition((1,))) is None
+    # Unitary symbols have even defect; "0|" has defect 1.
+    with pytest.raises(SeriesError):
+        in_b_uu(S("|"), S("0|"))
+    with pytest.raises(SeriesError):
+        in_b_uu(S("0|"), S("|1,0"))
+    with pytest.raises(SeriesError):
+        b_uu_branch(S("0|"), S("|1,0"))
 
 
 def test_weil_pairs_examples():
