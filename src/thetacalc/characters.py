@@ -17,6 +17,7 @@ and by a brute-force scan over model characters.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from random import Random
 
@@ -33,7 +34,6 @@ from .symbols import (
     O_PLUS,
     SeriesTag,
     Symbol,
-    defect,
     delta_symbol,
     enumerate_series,
     format_symbol,
@@ -42,11 +42,13 @@ from .symbols import (
     orth_sign,
     parse_symbol,
     rank,
+    series_of,
     symbol_from_partition,
     transpose,
 )
 from .theta import (
     CapExceededError,
+    FirstOccurrence,
     first_occurrence_unitary_closed,
     in_b_sp_oeven,
     in_b_uu,
@@ -69,8 +71,21 @@ FAMILY_NAMES = {
 }
 _FAMILY_NAME = {value: name for name, value in FAMILY_NAMES.items()}
 
-# Dimension of the underlying space of a rank-n character: a*n + b.
-_SPACE_DIM = {U_FAMILY: (1, 0), SP_FAMILY: (2, 0), OEVEN_FAMILY: (2, 0), OODD_FAMILY: (2, 1)}
+# One row per family.  dim is (a, b): a rank-n character acts on a space
+# of dimension a*n + b.  pools are the series lambda1 and lambda2 are
+# drawn from, each with the defect rule of its members (the
+# even-orthogonal pool lists o+ before o-; a unitary lambda1 is a
+# partition).  spurious lists the fields the family does not carry,
+# each group rejected in one message; name is the family in messages.
+_Family = namedtuple("_Family", "dim pools spurious name")
+_ORTH_POOL = ((O_PLUS, O_MINUS), "even defect")
+_SP_POOL = ((SP,), "defect 1 mod 4")
+_FAMILIES = {
+    U_FAMILY: _Family((1, 0), None, (("lambda2",), ("epsilon",), ("sign",)), "a unitary"),
+    SP_FAMILY: _Family((2, 0), (_ORTH_POOL, _SP_POOL), (("epsilon", "sign"),), "a symplectic"),
+    OEVEN_FAMILY: _Family((2, 0), (_ORTH_POOL, _ORTH_POOL), (("sign",),), "an even-orthogonal"),
+    OODD_FAMILY: _Family((2, 1), (_SP_POOL, _SP_POOL), (("epsilon",),), "an odd-orthogonal"),
+}
 
 # Source kind -> legal targets, each with the tower scanned for it: the
 # partner family, its epsilon and the parity of the target dimension.  A
@@ -86,15 +101,6 @@ TARGETS = {
     (SP_FAMILY, "odd"): {"o-odd": (OODD_FAMILY, None, 1), "o-odd-c": (OODD_FAMILY, None, 1)},
 }
 TARGET_NAMES = tuple(dict.fromkeys(name for towers in TARGETS.values() for name in towers))
-
-# Series of the symbol pools lambda1 and lambda2 are drawn from, per
-# family; the even-orthogonal pool lists o+ before o-.
-_ORTH_SERIES = (O_PLUS, O_MINUS)
-_POOL_SERIES = {
-    SP_FAMILY: (_ORTH_SERIES, (SP,)),
-    OEVEN_FAMILY: (_ORTH_SERIES, _ORTH_SERIES),
-    OODD_FAMILY: ((SP,), (SP,)),
-}
 
 
 class CharacterError(ValueError):
@@ -134,14 +140,10 @@ def _check_blocks(family: str, blocks: tuple[Block, ...]) -> None:
         raise CharacterError("dimension-mismatch: blocks must have even dims")
 
 
-def _require_sp_series(sym: Symbol, who: str) -> None:
-    if defect(sym) % 4 != 1:
-        raise CharacterError(f"wrong-series: {who} must have defect 1 mod 4")
-
-
-def _require_orth_series(sym: Symbol, who: str) -> None:
-    if defect(sym) % 2 != 0:
-        raise CharacterError(f"wrong-series: {who} must have even defect")
+def _family_row(family: str):
+    if family not in _FAMILIES:
+        raise CharacterError(f"unknown family {family!r}")
+    return _FAMILIES[family]
 
 
 @dataclass(frozen=True)
@@ -163,36 +165,30 @@ class GeneralCharacter:
     def __post_init__(self):
         if self.n < 0:
             raise CharacterError("n must be non-negative")
-        if self.family not in (U_FAMILY, SP_FAMILY, OEVEN_FAMILY, OODD_FAMILY):
-            raise CharacterError(f"unknown family {self.family!r}")
+        row = _family_row(self.family)
         object.__setattr__(self, "blocks", canonical_blocks(self.blocks))
         _check_blocks(self.family, self.blocks)
         d0 = self.d0
+        if row.pools and not all(isinstance(sym, Symbol) for sym in (self.lambda1, self.lambda2)):
+            raise CharacterError("lambda1 and lambda2 must be symbols")
+        for fields in row.spurious:
+            if any(getattr(self, field) is not None for field in fields):
+                raise CharacterError(f"spurious-field: {'/'.join(fields)} on {row.name} character")
 
         if self.family == U_FAMILY:
-            for field in ("lambda2", "epsilon", "sign"):
-                if getattr(self, field) is not None:
-                    raise CharacterError(f"spurious-field: {field} on a unitary character")
             object.__setattr__(self, "lambda1", partition(self.lambda1))
             if self.n != d0 + sum(self.lambda1):
                 raise CharacterError(f"dimension-mismatch: n={self.n} != {d0} + |{self.lambda1}|")
             return
 
-        if not isinstance(self.lambda1, Symbol) or not isinstance(self.lambda2, Symbol):
-            raise CharacterError("lambda1 and lambda2 must be symbols")
-        object.__setattr__(self, "lambda1", normalize(self.lambda1))
-        object.__setattr__(self, "lambda2", normalize(self.lambda2))
-
-        if self.family == SP_FAMILY:
-            if self.epsilon is not None or self.sign is not None:
-                raise CharacterError("spurious-field: epsilon/sign on a symplectic character")
-            _require_orth_series(self.lambda1, "lambda1")
-            _require_sp_series(self.lambda2, "lambda2")
-        elif self.family == OEVEN_FAMILY:
-            if self.sign is not None:
-                raise CharacterError("spurious-field: sign on an even-orthogonal character")
-            _require_orth_series(self.lambda1, "lambda1")
-            _require_orth_series(self.lambda2, "lambda2")
+        if self.family == OODD_FAMILY and self.sign not in (1, -1):
+            raise CharacterError("missing-sign-bit: odd-orthogonal characters need sign")
+        for field, (series, rule) in zip(("lambda1", "lambda2"), row.pools):
+            sym = normalize(getattr(self, field))
+            object.__setattr__(self, field, sym)
+            if series_of(sym) not in series:
+                raise CharacterError(f"wrong-series: {field} must have {rule}")
+        if self.family == OEVEN_FAMILY:
             derived = orth_sign(self.lambda1) * orth_sign(self.lambda2)
             if self.epsilon is None:
                 object.__setattr__(self, "epsilon", derived)
@@ -200,13 +196,6 @@ class GeneralCharacter:
                 raise CharacterError(
                     f"wrong-series: epsilon {self.epsilon} != lambda series product {derived}"
                 )
-        else:
-            if self.epsilon is not None:
-                raise CharacterError("spurious-field: epsilon on an odd-orthogonal character")
-            if self.sign not in (1, -1):
-                raise CharacterError("missing-sign-bit: odd-orthogonal characters need sign")
-            _require_sp_series(self.lambda1, "lambda1")
-            _require_sp_series(self.lambda2, "lambda2")
 
         if 2 * self.n != d0 + 2 * rank(self.lambda1) + 2 * rank(self.lambda2):
             raise CharacterError("dimension-mismatch: 2n != d0 + 2 rk(lambda1) + 2 rk(lambda2)")
@@ -258,15 +247,12 @@ def make_character(
 ) -> GeneralCharacter:
     """Validated character; raises CharacterError with the rule's tag.
 
-    family accepts the aliases "o+"/"o-" (even orthogonal with the sign
-    baked in) and "o-odd" alongside the canonical names.
+    family accepts the literal names of FAMILY_NAMES, among them the
+    aliases "o+"/"o-" (even orthogonal with the sign baked in) and
+    "o-odd", alongside the canonical names; GeneralCharacter checks the
+    rest, blocks included.
     """
-    if family in (OEVEN_FAMILY, OODD_FAMILY):
-        implied_epsilon = None
-    elif family in FAMILY_NAMES:
-        family, implied_epsilon = FAMILY_NAMES[family]
-    else:
-        raise CharacterError(f"unknown family {family!r}")
+    family, implied_epsilon = FAMILY_NAMES.get(family, (family, None))
     if implied_epsilon is not None:
         if epsilon is not None and epsilon != implied_epsilon:
             raise CharacterError("wrong-series: epsilon contradicts the family alias")
@@ -274,7 +260,7 @@ def make_character(
     return GeneralCharacter(
         family=family,
         n=n,
-        blocks=canonical_blocks(d0_blocks),
+        blocks=d0_blocks,
         lambda1=lambda1,
         lambda2=lambda2,
         epsilon=epsilon,
@@ -283,7 +269,7 @@ def make_character(
 
 
 def _space_dim(family: str, n: int) -> int:
-    a, b = _SPACE_DIM[family]
+    a, b = _FAMILIES[family].dim
     return a * n + b
 
 
@@ -439,11 +425,9 @@ def first_occurrence_general(rho: GeneralCharacter, target: str) -> int:
 
 def _symbol_pools(family: str, r1: int, r2: int) -> tuple[tuple[Symbol, ...], ...]:
     """The symbols lambda1 of rank r1 and lambda2 of rank r2 range over."""
-    if family not in _POOL_SERIES:
-        raise CharacterError(f"unknown family {family!r}")
     return tuple(
         tuple(itertools.chain.from_iterable(enumerate_series(SeriesTag(s, r)) for s in series))
-        for series, r in zip(_POOL_SERIES[family], (r1, r2))
+        for (series, _), r in zip(_family_row(family).pools, (r1, r2))
     )
 
 
@@ -514,12 +498,12 @@ def enumerate_characters_all_blocks(family: str, n: int, epsilon: int | None = N
             yield from enumerate_characters(family, n, canonical_blocks(dims), epsilon)
 
 
-def first_occurrence_general_brute(
-    rho: GeneralCharacter, target: str
-) -> tuple[int, tuple[GeneralCharacter, ...]]:
+def first_occurrence_general_brute(rho: GeneralCharacter, target: str) -> FirstOccurrence:
     """Oracle: scan target characters by increasing dimension until one
     corresponds.  Partner blocks must equal the source blocks, so the
-    scan fixes them and enumerates the unipotent data."""
+    scan fixes them and enumerates the unipotent data.  The result is
+    the FirstOccurrence of the symbol and unitary oracles: the space
+    dimension and the corresponding characters found at it."""
     family, epsilon, parity = _tower(rho, target)
     if target == "o-odd-c":
         return first_occurrence_general_brute(c_twist(rho), "o-odd")
@@ -533,7 +517,7 @@ def first_occurrence_general_brute(
         candidates = enumerate_characters(family, size, rho.blocks, epsilon)
         hits = tuple(cand for cand in candidates if corresponds(rho, cand))
         if hits:
-            return dim, hits
+            return FirstOccurrence(dim, hits)
     raise CapExceededError(f"cap-exceeded: no partner for {rho} in {target}")
 
 
@@ -565,15 +549,14 @@ def odd_witt_split(rho: GeneralCharacter) -> tuple[int, int]:
 
 def random_character(family: str, rng: Random, max_dim: int = 12) -> GeneralCharacter:
     """A uniformly-shaped random valid character with dim <= max_dim."""
+    a, b = _family_row(family).dim
+    n = rng.randint(0, (max_dim - b) // a)
     if family == U_FAMILY:
-        n = rng.randint(0, max_dim)
         d0 = rng.randint(0, n)
         dims = rng.choice(partitions_of(d0))
         lam = rng.choice(partitions_of(n - d0))
         return GeneralCharacter(U_FAMILY, n, canonical_blocks(dims), lam)
 
-    n_top = max_dim // 2 if family != OODD_FAMILY else (max_dim - 1) // 2
-    n = rng.randint(0, n_top)
     half = rng.randint(0, n)
     dims = tuple(2 * p for p in rng.choice(partitions_of(half)))
     blocks = canonical_blocks(dims)

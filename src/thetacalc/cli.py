@@ -179,16 +179,11 @@ def cmd_symbol_info(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    records = []
     if args.group == UNITARY:
-        for lam in partitions_of(args.rank):
-            record = symbol_info_record(symbol_from_partition(lam))
-            record["partition"] = format_partition(lam)
-            record["series"] = UNITARY
-            records.append(record)
+        syms, shown = map(symbol_from_partition, partitions_of(args.rank)), {"series": UNITARY}
     else:
-        for sym in enumerate_series(SeriesTag(args.group, args.rank)):
-            records.append(symbol_info_record(sym))
+        syms, shown = enumerate_series(SeriesTag(args.group, args.rank)), {}
+    records = [{**symbol_info_record(sym), **shown} for sym in syms]
     _emit(render(records, "symbol-info", args.format), args.out)
     return 0
 
@@ -210,22 +205,12 @@ def cmd_theta_partners(args) -> int:
     left_group, right_group = args.pair.split(":")
     if left_group == SP and right_group in (O_PLUS, O_MINUS):
         sign = 1 if right_group == O_PLUS else -1
-        pairs = weil_pairs(args.rank, sign, args.corank)
-        records = [
-            {"kind": "pair-list", "left": format_symbol(a), "right": format_symbol(b)}
-            for a, b in pairs
-        ]
+        pairs, literal = weil_pairs(args.rank, sign, args.corank), format_symbol
     elif left_group == UNITARY and right_group == UNITARY:
-        records = [
-            {
-                "kind": "pair-list",
-                "left": format_partition(a),
-                "right": format_partition(b),
-            }
-            for a, b in weil_pairs_unitary(args.rank, args.corank)
-        ]
+        pairs, literal = weil_pairs_unitary(args.rank, args.corank), format_partition
     else:
         raise ValueError(f"unsupported pair {args.pair!r}")
+    records = [{"kind": "pair-list", "left": literal(a), "right": literal(b)} for a, b in pairs]
     _emit(render(records, "pair-list", args.format), args.out)
     return 0
 
@@ -235,14 +220,14 @@ def _character_literal(rho) -> str:
 
 
 def _first_occurrence(args) -> tuple:
-    """(source, closed dim, partner, oracle dim, witnesses, literal
-    formatter) of a `theta first` query; the closed form runs first."""
+    """(source, closed dim, partner, oracle result, literal formatter) of
+    a `theta first` query; the closed form runs first."""
     if args.char:
         rho = character_from_json(json.loads(args.char))
         _check_size("--char n", rho.n)
         closed_dim, partner = first_occurrence_partner(rho, args.target)
-        oracle_dim, witnesses = first_occurrence_general_brute(rho, args.target)
-        return rho, closed_dim, partner, oracle_dim, witnesses, _character_literal
+        oracle = first_occurrence_general_brute(rho, args.target)
+        return rho, closed_dim, partner, oracle, _character_literal
     if not args.group or args.symbol is None:
         raise ValueError("need --group/--symbol or --char")
     towers = TARGETS[_GROUP_KIND[args.group]]
@@ -263,20 +248,20 @@ def _first_occurrence(args) -> tuple:
         closed_dim = 2 * rank(partner)
         oracle = first_occurrence_bruteforce(sym, args.target)
         source, literal = normalize(sym), format_symbol
-    return source, closed_dim, partner, oracle.space_dimension, oracle.witnesses, literal
+    return source, closed_dim, partner, oracle, literal
 
 
 def cmd_theta_first(args) -> int:
-    source, closed_dim, partner, oracle_dim, witnesses, literal = _first_occurrence(args)
+    source, closed_dim, partner, oracle, literal = _first_occurrence(args)
     record = {
         "kind": "first-occurrence",
         "source": literal(source),
         "target": args.target,
         "closed_dim": closed_dim,
-        "oracle_dim": oracle_dim,
-        "agree": closed_dim == oracle_dim and partner in witnesses,
+        "oracle_dim": oracle.space_dimension,
+        "agree": oracle.confirms(closed_dim, partner),
         "partner": literal(partner),
-        "witnesses": [literal(w) for w in witnesses],
+        "witnesses": [literal(w) for w in oracle.witnesses],
     }
     _emit(render([record], "first-occurrence", args.format), args.out)
     return 0 if record["agree"] else 1

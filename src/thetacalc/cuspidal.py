@@ -158,8 +158,7 @@ def check_pseudo_cuspidal_even_partners(m: int) -> list[CheckReport]:
                         "pseudo-cuspidal-even-partner-type",
                         {"m": m, "character": idx, "target": target},
                         True,
-                        partner.d0 == 0
-                        and partner.lambda2 == Symbol((), ())
+                        partner.lambda2 == Symbol((), ())
                         and is_cuspidal_character(partner),
                     )
                 )
@@ -195,7 +194,6 @@ def check_unipotent_cuspidal_odd_partner(m: int) -> list[CheckReport]:
             {"m": m},
             True,
             partner in hits
-            and partner.d0 == 0
             and partner.lambda2 == cuspidal_symbol(1)
             and is_cuspidal_character(partner),
         ),
@@ -226,8 +224,7 @@ def check_pseudo_cuspidal_odd_partners(m: int) -> list[CheckReport]:
                 "pseudo-cuspidal-odd-partner-type",
                 {"m": m, "character": idx},
                 True,
-                partner.d0 == 0
-                and partner.lambda1 == cuspidal_symbol(1)
+                partner.lambda1 == cuspidal_symbol(1)
                 and is_cuspidal_character(partner),
             )
         )

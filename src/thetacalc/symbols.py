@@ -29,6 +29,7 @@ UNITARY = "u"
 
 # family -> required defect residue mod 4
 _DEFECT_RESIDUE = {SP: 1, O_PLUS: 0, O_MINUS: 2}
+_DEFECT_SERIES = {residue: family for family, residue in _DEFECT_RESIDUE.items()}
 
 
 class SeriesError(ValueError):
@@ -190,8 +191,7 @@ def orth_sign(sym: Symbol) -> int:
 
 def series_of(sym: Symbol) -> str | None:
     """The series (sp, o+ or o-) whose defect residue sym has, if any."""
-    residue = defect(sym) % 4
-    return next((fam for fam, r in _DEFECT_RESIDUE.items() if r == residue), None)
+    return _DEFECT_SERIES.get(defect(sym) % 4)
 
 
 def series_contains(tag: SeriesTag, sym: Symbol) -> bool:

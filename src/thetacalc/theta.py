@@ -9,8 +9,7 @@ behind the preservation principle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .partitions import (
     Partition,
@@ -23,7 +22,6 @@ from .symbols import (
     SP,
     O_MINUS,
     O_PLUS,
-    UNITARY,
     SeriesError,
     SeriesTag,
     Symbol,
@@ -51,20 +49,16 @@ class CapExceededError(RuntimeError):
     """A first-occurrence scan ran past its bound; signals a bug."""
 
 
-@dataclass(frozen=True)
-class FirstOccurrence:
-    """Minimal partner of a character in a target tower.
+class FirstOccurrence(NamedTuple):
+    """What every first-occurrence oracle returns: the dimension of the
+    minimal target space (twice the rank for a symbol series), and every
+    partner found there (symbols, partitions or model characters)."""
 
-    space_dimension is the dimension of the target space: twice the
-    rank for symplectic / even-orthogonal series, the partition size
-    for unitary series.  witnesses lists every partner found at the
-    minimal rank (symbols, or partitions for unitary targets).
-    """
-
-    partner: Symbol
-    partner_series: SeriesTag
     space_dimension: int
     witnesses: tuple
+
+    def confirms(self, dim: int, partner) -> bool:
+        return dim == self.space_dimension and partner in self.witnesses
 
 
 def in_b_relation(lhs: Symbol, rhs: Symbol, sign: int) -> bool:
@@ -286,9 +280,7 @@ def first_occurrence_bruteforce(sym: Symbol, target_family: str) -> FirstOccurre
     for r in range(cap + 1):
         hits = hits_at(r)
         if hits:
-            return FirstOccurrence(
-                hits[0], SeriesTag(target_family, r), 2 * r, tuple(hits)
-            )
+            return FirstOccurrence(2 * r, tuple(hits))
     raise CapExceededError(
         f"cap-exceeded: no partner of {sym} in {target_family} up to rank {cap}"
     )
@@ -320,12 +312,7 @@ def first_occurrence_unitary(lam: Partition, parity: int) -> FirstOccurrence:
         ]
         if witnesses:
             witnesses.sort()
-            return FirstOccurrence(
-                symbol_from_partition(witnesses[0]),
-                SeriesTag(UNITARY, size),
-                size,
-                tuple(witnesses),
-            )
+            return FirstOccurrence(size, tuple(witnesses))
     raise CapExceededError(f"cap-exceeded: no unitary partner for {lam}")
 
 

@@ -48,7 +48,6 @@ from .symbols import (
     delta_symbol,
     enumerate_series,
     enumerate_symbols,
-    equivalent,
     extremal_delta_symbols,
     format_symbol,
     is_cuspidal,
@@ -178,7 +177,7 @@ def suite_unipotent_theta(max_rank: int, seed: int) -> list[CheckReport]:
     bound = min(max_rank, 4)
 
     def same_partner(fo, closed) -> bool:
-        return fo.partner_series.rank == rank(closed) and equivalent(fo.partner, closed)
+        return fo.confirms(2 * rank(closed), closed)
 
     def first_occurrence_sp():
         # One instance per (symbol, sign) pair.
@@ -228,8 +227,7 @@ def suite_unipotent_theta(max_rank: int, seed: int) -> list[CheckReport]:
                 failed = [] if lhs == rhs else [list(lam)]
                 for parity in (0, 1):
                     size, partner = first_occurrence_unitary_closed(lam, parity)
-                    oracle = first_occurrence_unitary(lam, parity)
-                    if size != oracle.space_dimension or partner not in oracle.witnesses:
+                    if not first_occurrence_unitary(lam, parity).confirms(size, partner):
                         failed.append({"partition": list(lam), "parity": parity})
                 yield failed
 
@@ -256,8 +254,7 @@ def _sampled_preservation(
 
     def oracle_agrees(rho, target: str) -> bool:
         dim, partner = first_occurrence_partner(rho, target)
-        brute_dim, hits = first_occurrence_general_brute(rho, target)
-        return dim == brute_dim and partner in hits
+        return first_occurrence_general_brute(rho, target).confirms(dim, partner)
 
     def oracle():
         for i, rho in samples(ORACLE_SAMPLES):

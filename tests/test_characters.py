@@ -21,6 +21,7 @@ from thetacalc import (
     random_character,
     sgn_twist,
 )
+from thetacalc.cli import main
 
 S = parse_symbol
 
@@ -69,6 +70,83 @@ def test_make_character_validation():
         make_character("u", 4, [2], (3,))
     with pytest.raises(CharacterError, match="dimension-mismatch: blocks must have even"):
         make_character("sp", 2, [1, 1], S("|"), S("1,0|1"))
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        (("u", 1, [], (1,), S("|")), {}, "spurious-field: lambda2 on a unitary character"),
+        (("u", 1, [], (1,)), {"epsilon": 1}, "spurious-field: epsilon on a unitary character"),
+        (("u", 1, [], (1,)), {"sign": 1}, "spurious-field: sign on a unitary character"),
+        (
+            ("sp", 0, [], S("|"), S("0|")),
+            {"epsilon": 1},
+            "spurious-field: epsilon/sign on a symplectic character",
+        ),
+        (
+            ("sp", 0, [], S("|"), S("0|")),
+            {"sign": -1},
+            "spurious-field: epsilon/sign on a symplectic character",
+        ),
+        (
+            ("oeven", 0, [], S("|"), S("|")),
+            {"sign": 1},
+            "spurious-field: sign on an even-orthogonal character",
+        ),
+        (
+            ("oodd", 0, [], S("0|"), S("0|")),
+            {"epsilon": 1, "sign": 1},
+            "spurious-field: epsilon on an odd-orthogonal character",
+        ),
+        (
+            ("oodd", 0, [], S("0|"), S("0|")),
+            {},
+            "missing-sign-bit: odd-orthogonal characters need sign",
+        ),
+        # lambda1 is in the wrong series too; the sign is checked first.
+        (
+            ("oodd", 0, [], S("|"), S("0|")),
+            {},
+            "missing-sign-bit: odd-orthogonal characters need sign",
+        ),
+        (("sp", 0, [], S("0|"), S("0|")), {}, "wrong-series: lambda1 must have even defect"),
+        (("sp", 0, [], S("|"), S("|")), {}, "wrong-series: lambda2 must have defect 1 mod 4"),
+        (("oeven", 0, [], S("0|"), S("|")), {}, "wrong-series: lambda1 must have even defect"),
+        (("oeven", 0, [], S("|"), S("0|")), {}, "wrong-series: lambda2 must have even defect"),
+        (
+            ("oodd", 0, [], S("|"), S("0|")),
+            {"sign": 1},
+            "wrong-series: lambda1 must have defect 1 mod 4",
+        ),
+        (
+            ("oodd", 0, [], S("0|"), S("|")),
+            {"sign": -1},
+            "wrong-series: lambda2 must have defect 1 mod 4",
+        ),
+        (
+            ("oeven", 1, [], S("1,0|"), S("|")),
+            {"epsilon": 1},
+            "wrong-series: epsilon 1 != lambda series product -1",
+        ),
+        (
+            ("o+", 0, [], S("|"), S("|")),
+            {"epsilon": -1},
+            "wrong-series: epsilon contradicts the family alias",
+        ),
+    ],
+)
+def test_make_character_messages(args, kwargs, message):
+    with pytest.raises(CharacterError) as info:
+        make_character(*args, **kwargs)
+    assert str(info.value) == message
+
+
+def test_character_error_message_through_cli(capsys):
+    literal = '{"family":"u","n":1,"lambda1":"1","lambda2":null,"sign":"+"}'
+    code = main(["theta", "first", "--target", "u-odd", "--char", literal])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: spurious-field: sign on a unitary character\n"
 
 
 def test_char_dim():

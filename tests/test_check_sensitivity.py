@@ -87,6 +87,15 @@ def _unitary_plus_branch_misplaced(original):
     return mutant
 
 
+def _dimension_three_halves(original):
+    # The right partners, at a space dimension of 3r instead of 2r.
+    def mutant(sym, target_family):
+        found = original(sym, target_family)
+        return found._replace(space_dimension=found.space_dimension * 3 // 2)
+
+    return mutant
+
+
 # mutant id -> (function, fault, suite, bound, checks expected to FAIL)
 MUTANTS = {
     "unitary-closed-size-plus-two": (
@@ -193,6 +202,13 @@ MUTANTS = {
         "cuspidal-catalog",
         4,
         {"pseudo-cuspidal-count"},
+    ),
+    "bruteforce-dimension-three-halves": (
+        "first_occurrence_bruteforce",
+        _dimension_three_halves,
+        "unipotent-theta",
+        2,
+        {"first-occurrence-symplectic", "first-occurrence-orthogonal"},
     ),
     "weil-pairs-unitary-drops-last-pair": (
         "weil_pairs_unitary",

@@ -111,6 +111,10 @@ def test_pair_scans_do_not_call_the_generators(monkeypatch):
 def test_oracles_do_not_call_closed_forms(monkeypatch):
     expected = _oracle_results()
     assert {"o-odd-c"} <= {t for towers in TARGETS.values() for t in towers}
+    # Each scan finds exactly one partner, so a closed form that is among
+    # the witnesses (FirstOccurrence.confirms) is the partner.
+    for results in expected:
+        assert all(len(result.witnesses) == 1 for result in results)
 
     patched = _replace_by_raisers(monkeypatch, CLOSED_FORMS)
     assert patched["thetacalc.theta"] == set(CLOSED_FORMS[:6])

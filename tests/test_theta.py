@@ -163,8 +163,7 @@ def test_theta_zero_orth_examples():
 
 
 def test_first_occurrence_bruteforce_examples():
-    fo = first_occurrence_bruteforce(S("0|"), O_PLUS)
-    assert fo.partner == S("|") and fo.space_dimension == 0
+    assert first_occurrence_bruteforce(S("0|"), O_PLUS) == (0, (S("|"),))
     assert first_occurrence_bruteforce(S("|2,1,0"), O_MINUS).space_dimension == 2
     assert first_occurrence_bruteforce(S("|2,1,0"), O_PLUS).space_dimension == 8
 
@@ -175,15 +174,12 @@ def test_first_occurrence_matches_theta_maps():
             for sign, fam in ((1, O_PLUS), (-1, O_MINUS)):
                 fo = first_occurrence_bruteforce(sym, fam)
                 tz = theta_zero_sp(sym, sign)
-                assert fo.partner_series.rank == rank(tz)
-                assert equivalent(fo.partner, tz)
-                assert fo.witnesses == (tz,)
+                assert fo == (2 * rank(tz), (tz,))
         for fam in (O_PLUS, O_MINUS):
             for sym in enumerate_series(SeriesTag(fam, n)):
                 fo = first_occurrence_bruteforce(sym, SP)
                 tz = theta_zero_orth(sym)
-                assert fo.partner_series.rank == rank(tz)
-                assert equivalent(fo.partner, tz)
+                assert fo == (2 * rank(tz), (tz,))
 
 
 def test_theta_rank_sums():
