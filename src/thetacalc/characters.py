@@ -47,8 +47,8 @@ from .symbols import (
     transpose,
 )
 from .theta import (
-    CapExceededError,
     FirstOccurrence,
+    _scan_tower,
     first_occurrence_unitary_closed,
     in_b_sp_oeven,
     in_b_uu,
@@ -268,14 +268,10 @@ def make_character(
     )
 
 
-def _space_dim(family: str, n: int) -> int:
-    a, b = _FAMILIES[family].dim
-    return a * n + b
-
-
 def char_dim(rho: GeneralCharacter) -> int:
     """dim of the underlying space: n, 2n, 2n, or 2n + 1 by family."""
-    return _space_dim(rho.family, rho.n)
+    a, b = _FAMILIES[rho.family].dim
+    return a * rho.n + b
 
 
 def delta_char(rho: GeneralCharacter, sp_targets: str | None = None) -> int:
@@ -355,14 +351,17 @@ def corresponds(rho: GeneralCharacter, rho_prime: GeneralCharacter) -> bool:
     raise CharacterError(f"unsupported-pair: {pair}")
 
 
-def _tower(rho: GeneralCharacter, target: str) -> tuple[str, int | None, int]:
-    """The tower of a legal target of rho: partner family, epsilon and
-    dimension parity."""
+def _tower(
+    rho: GeneralCharacter, target: str
+) -> tuple[str | None, tuple[str, int | None, int]]:
+    """The tower of a legal target of rho, with the Witt series of the
+    source kind it belongs to (see TARGETS): (sp_targets, (partner
+    family, epsilon, dimension parity))."""
     if target not in TARGET_NAMES:
         raise CharacterError(f"unsupported-target: {target!r}")
-    for (family, _), towers in TARGETS.items():
+    for (family, sp_targets), towers in TARGETS.items():
         if family == rho.family and target in towers:
-            return towers[target]
+            return sp_targets, towers[target]
     raise CharacterError(f"unsupported-target: {target!r} for family {rho.family!r}")
 
 
@@ -374,7 +373,7 @@ def first_occurrence_partner(
     Block data passes through unchanged; the free unipotent component of
     the partner is the theta image of the matching component of rho.
     """
-    family, epsilon, parity = _tower(rho, target)
+    _, (family, epsilon, parity) = _tower(rho, target)
     if target == "o-odd-c":
         return first_occurrence_partner(c_twist(rho), "o-odd")
     blocks = rho.blocks
@@ -429,12 +428,6 @@ def _symbol_pools(family: str, r1: int, r2: int) -> tuple[tuple[Symbol, ...], ..
         tuple(itertools.chain.from_iterable(enumerate_series(SeriesTag(s, r)) for s in series))
         for (series, _), r in zip(_family_row(family).pools, (r1, r2))
     )
-
-
-def _max_delta(rho: GeneralCharacter) -> int:
-    if rho.family == U_FAMILY:
-        return delta_symbol(symbol_from_partition(rho.lambda1))
-    return max(delta_symbol(rho.lambda1), delta_symbol(rho.lambda2))
 
 
 def enumerate_characters(
@@ -499,26 +492,29 @@ def enumerate_characters_all_blocks(family: str, n: int, epsilon: int | None = N
 
 
 def first_occurrence_general_brute(rho: GeneralCharacter, target: str) -> FirstOccurrence:
-    """Oracle: scan target characters by increasing dimension until one
-    corresponds.  Partner blocks must equal the source blocks, so the
-    scan fixes them and enumerates the unipotent data.  The result is
-    the FirstOccurrence of the symbol and unitary oracles: the space
-    dimension and the corresponding characters found at it."""
-    family, epsilon, parity = _tower(rho, target)
+    """Oracle: scan target characters by increasing dimension, up to the
+    cap of _scan_tower, until one corresponds.  Partner blocks must equal
+    the source blocks, so the scan fixes them and enumerates the
+    unipotent data.  The result is the FirstOccurrence of the symbol and
+    unitary oracles: the space dimension and the corresponding
+    characters found at it."""
+    sp_targets, (family, epsilon, parity) = _tower(rho, target)
     if target == "o-odd-c":
         return first_occurrence_general_brute(c_twist(rho), "o-odd")
-    cap_dim = 2 * char_dim(rho) + 2 * _max_delta(rho) + 4
-    for size in range(cap_dim + 1):
-        dim = _space_dim(family, size)
-        if dim > cap_dim:
-            break
-        if dim % 2 != parity:
-            continue
-        candidates = enumerate_characters(family, size, rho.blocks, epsilon)
-        hits = tuple(cand for cand in candidates if corresponds(rho, cand))
-        if hits:
-            return FirstOccurrence(dim, hits)
-    raise CapExceededError(f"cap-exceeded: no partner for {rho} in {target}")
+    a, b = _FAMILIES[family].dim
+
+    def hits_at(dim: int) -> list[GeneralCharacter]:
+        candidates = enumerate_characters(family, (dim - b) // a, rho.blocks, epsilon)
+        return [cand for cand in candidates if corresponds(rho, cand)]
+
+    return next(_scan_tower(parity, _preservation_rhs(rho, sp_targets), hits_at, rho))
+
+
+def _preservation_rhs(rho: GeneralCharacter, sp_targets: str | None) -> int:
+    """Right side of the preservation identity of a model character:
+    2 dim - 2 delta, plus 1 for a unitary and 2 for a symplectic one."""
+    shift = {U_FAMILY: 1, SP_FAMILY: 2}.get(rho.family, 0)
+    return 2 * char_dim(rho) - 2 * delta_char(rho, sp_targets) + shift
 
 
 def preservation_sum_general(
@@ -528,15 +524,15 @@ def preservation_sum_general(
 
     The left side adds the first occurrences in the targets of the source
     kind; an orthogonal character has one target, so its second
-    occurrence is that of its sign twist.
+    occurrence is that of its sign twist.  The right side is
+    _preservation_rhs.
     """
     kind = (rho.family, sp_targets if rho.family == SP_FAMILY else None)
     if kind not in TARGETS:
         raise ValueError("sp characters need sp_targets 'even' or 'odd'")
     sources = (rho, sgn_twist(rho)) if rho.family in (OEVEN_FAMILY, OODD_FAMILY) else (rho,)
     lhs = sum(first_occurrence_general(src, target) for src in sources for target in TARGETS[kind])
-    shift = {U_FAMILY: 1, SP_FAMILY: 2}.get(rho.family, 0)
-    return lhs, 2 * char_dim(rho) - 2 * delta_char(rho, sp_targets) + shift
+    return lhs, _preservation_rhs(rho, sp_targets)
 
 
 def odd_witt_split(rho: GeneralCharacter) -> tuple[int, int]:

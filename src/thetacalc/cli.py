@@ -5,7 +5,8 @@ listings), theta partners / theta first (correspondence queries with
 closed-form and oracle columns), and verify (the named identity
 suites).  Exit codes: 0 success; 1 a failed check: a verification
 failure, a closed-form/oracle disagreement, an oracle scan past its cap,
-or a verify check that raised (reported as its FAIL line); 2 only bad
+a verify check that raised (reported as its FAIL line), or any other
+internal error (an `error: internal: <Type>: <message>` line); 2 bad
 input: usage or parse errors, an unwritable --out among them, and a
 theta query over MAX_QUERY_SIZE (a symbol rank, partition size, --char
 n, --rank or --corank above 10), rejected before any scan starts.
@@ -374,12 +375,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapExceededError as exc:
         # An oracle scan ran past its proven cap: a failed check.
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:
+        # A fault of the library, not of the input: a failed check too.
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

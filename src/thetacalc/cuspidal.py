@@ -132,44 +132,62 @@ def pseudo_unipotent_cuspidal_sp(n: int) -> CuspidalRecord:
     return CuspidalRecord(tag, chars)
 
 
+def _sp_cuspidal(m: int):
+    """The blockless symplectic character of rank m(m+1) whose lambda2 is
+    the unipotent cuspidal symbol of that rank."""
+    n = m * (m + 1)
+    sym = unipotent_cuspidal(SeriesTag(SP, n)).characters[0]
+    return make_character("sp", n, [], Symbol((), ()), sym)
+
+
+def _orth_cuspidal_pair(m: int) -> tuple[Symbol, ...]:
+    """The two cuspidal symbols of the sign-(-1)^m even orthogonal group of
+    rank m^2, swapped by transpose; none at m = 0."""
+    if m == 0:
+        return ()
+    return unipotent_cuspidal(SeriesTag(O_PLUS if m % 2 == 0 else O_MINUS, m * m)).characters
+
+
+def _closed_and_oracle(rho, target: str):
+    """The closed-form first occurrence of rho in the target, then the
+    oracle's: (dim, partner, oracle dim, whether the oracle found partner)."""
+    dim, partner = first_occurrence_partner(rho, target)
+    found = first_occurrence_general_brute(rho, target)
+    return dim, partner, found.space_dimension, partner in found.witnesses
+
+
+def _both_report(
+    check: str, parameters: dict, expected, actual, keys=("lhs", "rhs")
+) -> CheckReport:
+    """A report of two values, under the two keys, that should both equal
+    `expected`: the two sides of a sum, or a closed form and its oracle."""
+    return CheckReport(check, parameters, dict.fromkeys(keys, expected), dict(zip(keys, actual)))
+
+
 def check_pseudo_cuspidal_even_partners(m: int) -> list[CheckReport]:
     """Pseudo-unipotent cuspidals of the rank-m^2 symplectic group against
     the two even orthogonal towers: dims {2m^2, 2m^2 + 2}, and the
     partner at 2m^2 is again pseudo-unipotent."""
     reports = []
-    record = pseudo_unipotent_cuspidal_sp(m * m)
-    for idx, rho in enumerate(record.characters):
-        dims = {}
+    for idx, rho in enumerate(pseudo_unipotent_cuspidal_sp(m * m).characters):
+        dims = []
         for target in ("o+", "o-"):
-            dim, partner = first_occurrence_partner(rho, target)
-            brute_dim, hits = first_occurrence_general_brute(rho, target)
-            dims[target] = dim
+            dim, partner, oracle_dim, found = _closed_and_oracle(rho, target)
+            dims.append(dim)
+            parameters = {"m": m, "character": idx, "target": target}
+            expected = {"dim": dim, "oracle_agrees": True}
+            actual = {"dim": oracle_dim, "oracle_agrees": found}
             reports.append(
-                CheckReport(
-                    "pseudo-cuspidal-even-partner",
-                    {"m": m, "character": idx, "target": target},
-                    {"dim": dim, "oracle_agrees": True},
-                    {"dim": brute_dim, "oracle_agrees": partner in hits},
-                )
+                CheckReport("pseudo-cuspidal-even-partner", parameters, expected, actual)
             )
             if dim == 2 * m * m:
+                pseudo = partner.lambda2 == Symbol((), ()) and is_cuspidal_character(partner)
                 reports.append(
-                    CheckReport(
-                        "pseudo-cuspidal-even-partner-type",
-                        {"m": m, "character": idx, "target": target},
-                        True,
-                        partner.lambda2 == Symbol((), ())
-                        and is_cuspidal_character(partner),
-                    )
+                    CheckReport("pseudo-cuspidal-even-partner-type", parameters, True, pseudo)
                 )
-        reports.append(
-            CheckReport(
-                "pseudo-cuspidal-even-dims",
-                {"m": m, "character": idx},
-                [2 * m * m, 2 * m * m + 2],
-                sorted(dims.values()),
-            )
-        )
+        expected = [2 * m * m, 2 * m * m + 2]
+        parameters = {"m": m, "character": idx}
+        reports.append(CheckReport("pseudo-cuspidal-even-dims", parameters, expected, sorted(dims)))
     return reports
 
 
@@ -177,26 +195,20 @@ def check_unipotent_cuspidal_odd_partner(m: int) -> list[CheckReport]:
     """The unipotent cuspidal of the rank-m(m+1) symplectic group first
     occurs against the odd orthogonal tower at dimension 2m(m+1) + 1,
     with a pseudo-unipotent cuspidal partner."""
-    n = m * (m + 1)
-    record = unipotent_cuspidal(SeriesTag(SP, n))
-    rho = make_character("sp", n, [], Symbol((), ()), record.characters[0])
-    dim, partner = first_occurrence_partner(rho, "o-odd")
-    brute_dim, hits = first_occurrence_general_brute(rho, "o-odd")
+    rho = _sp_cuspidal(m)
+    dim, partner, oracle_dim, found = _closed_and_oracle(rho, "o-odd")
+    pseudo = (
+        found and partner.lambda2 == cuspidal_symbol(1) and is_cuspidal_character(partner)
+    )
     return [
-        CheckReport(
+        _both_report(
             "unipotent-cuspidal-odd-dim",
             {"m": m},
-            {"dim": 2 * n + 1, "oracle": 2 * n + 1},
-            {"dim": dim, "oracle": brute_dim},
+            2 * rho.n + 1,
+            (dim, oracle_dim),
+            ("dim", "oracle"),
         ),
-        CheckReport(
-            "unipotent-cuspidal-odd-partner-type",
-            {"m": m},
-            True,
-            partner in hits
-            and partner.lambda2 == cuspidal_symbol(1)
-            and is_cuspidal_character(partner),
-        ),
+        CheckReport("unipotent-cuspidal-odd-partner-type", {"m": m}, True, pseudo),
     ]
 
 
@@ -205,37 +217,18 @@ def check_pseudo_cuspidal_odd_partners(m: int) -> list[CheckReport]:
     meet the odd orthogonal tower at dims {2m(m-1)+1, 2m(m+1)+1} with
     unipotent cuspidal partners."""
     reports = []
-    record = pseudo_unipotent_cuspidal_sp(m * m)
     dims = set()
-    for idx, rho in enumerate(record.characters):
-        dim, partner = first_occurrence_partner(rho, "o-odd")
-        brute_dim, hits = first_occurrence_general_brute(rho, "o-odd")
+    for idx, rho in enumerate(pseudo_unipotent_cuspidal_sp(m * m).characters):
+        dim, partner, oracle_dim, found = _closed_and_oracle(rho, "o-odd")
         dims.add(dim)
-        reports.append(
-            CheckReport(
-                "pseudo-cuspidal-odd-partner",
-                {"m": m, "character": idx},
-                {"oracle_dim": dim, "partner_found": True},
-                {"oracle_dim": brute_dim, "partner_found": partner in hits},
-            )
-        )
-        reports.append(
-            CheckReport(
-                "pseudo-cuspidal-odd-partner-type",
-                {"m": m, "character": idx},
-                True,
-                partner.lambda1 == cuspidal_symbol(1)
-                and is_cuspidal_character(partner),
-            )
-        )
-    reports.append(
-        CheckReport(
-            "pseudo-cuspidal-odd-dims",
-            {"m": m},
-            sorted({2 * m * (m - 1) + 1, 2 * m * (m + 1) + 1}),
-            sorted(dims),
-        )
-    )
+        parameters = {"m": m, "character": idx}
+        expected = {"oracle_dim": dim, "partner_found": True}
+        actual = {"oracle_dim": oracle_dim, "partner_found": found}
+        reports.append(CheckReport("pseudo-cuspidal-odd-partner", parameters, expected, actual))
+        unipotent = partner.lambda1 == cuspidal_symbol(1) and is_cuspidal_character(partner)
+        reports.append(CheckReport("pseudo-cuspidal-odd-partner-type", parameters, True, unipotent))
+    expected = sorted({2 * m * (m - 1) + 1, 2 * m * (m + 1) + 1})
+    reports.append(CheckReport("pseudo-cuspidal-odd-dims", {"m": m}, expected, sorted(dims)))
     return reports
 
 
@@ -248,75 +241,29 @@ def check_cuspidal_preservation_sums(m: int) -> list[CheckReport]:
     4m(m+1) + 2.  Each model character's paired first occurrences must
     sum to 2 dim + constant, the constant depending only on the family.
     """
-    reports = []
-
     lam = staircase(m)
-    lhs, rhs = preservation_sum_unitary(lam)
-    reports.append(
-        CheckReport(
-            "cuspidal-sum-unitary",
-            {"m": m, "partition": list(lam)},
-            {"lhs": m * (m + 1) + 1, "rhs": m * (m + 1) + 1},
-            {"lhs": lhs, "rhs": rhs},
-        )
-    )
+    rho_sp = _sp_cuspidal(m)
+    orth_pair = _orth_cuspidal_pair(m)
+    parameters = {"m": m, "partition": list(lam)}
+    sides = preservation_sum_unitary(lam)
+    reports = [_both_report("cuspidal-sum-unitary", parameters, m * (m + 1) + 1, sides)]
+    if orth_pair:
+        # One of the pair: its transpose has the same sum.
+        sides = preservation_sum_unipotent(orth_pair[0])
+        reports.append(_both_report("cuspidal-sum-orthogonal", {"m": m}, 4 * m * m, sides))
+    sides = preservation_sum_unipotent(rho_sp.lambda2)
+    reports.append(_both_report("cuspidal-sum-symplectic", {"m": m}, 4 * rho_sp.n + 2, sides))
 
-    if m >= 1:
-        tag = SeriesTag(O_PLUS if m % 2 == 0 else O_MINUS, m * m)
-        sym = unipotent_cuspidal(tag).characters[0]
-        lhs_o, rhs_o = preservation_sum_unipotent(sym)
-        reports.append(
-            CheckReport(
-                "cuspidal-sum-orthogonal",
-                {"m": m},
-                {"lhs": 4 * m * m, "rhs": 4 * m * m},
-                {"lhs": lhs_o, "rhs": rhs_o},
-            )
-        )
-
-    n = m * (m + 1)
-    sym = unipotent_cuspidal(SeriesTag(SP, n)).characters[0]
-    lhs_sp, rhs_sp = preservation_sum_unipotent(sym)
-    reports.append(
-        CheckReport(
-            "cuspidal-sum-symplectic",
-            {"m": m},
-            {"lhs": 4 * n + 2, "rhs": 4 * n + 2},
-            {"lhs": lhs_sp, "rhs": rhs_sp},
-        )
-    )
-
+    pseudo = pseudo_unipotent_cuspidal_sp(m * m).characters
+    models = [
+        (make_character("u", sum(lam), [], lam), None),
+        *((rho, kind) for rho in (rho_sp, *pseudo) for kind in ("even", "odd")),
+        *((make_character("oeven", m * m, [], sym, Symbol((), ())), None) for sym in orth_pair),
+    ]
     constants = {"u": 1, "sp": 2, "oeven": 0, "oodd": 0}
-    for rho, kind in _cuspidal_model_characters(m):
+    for rho, kind in models:
+        parameters = {"m": m, "family": rho.family, "targets": kind}
         expected = 2 * char_dim(rho) + constants[rho.family]
-        lhs_c, rhs_c = preservation_sum_general(rho, kind)
-        reports.append(
-            CheckReport(
-                "cuspidal-sum-specialization",
-                {"m": m, "family": rho.family, "targets": kind},
-                {"lhs": expected, "rhs": expected},
-                {"lhs": lhs_c, "rhs": rhs_c},
-            )
-        )
+        sides = preservation_sum_general(rho, kind)
+        reports.append(_both_report("cuspidal-sum-specialization", parameters, expected, sides))
     return reports
-
-
-def _cuspidal_model_characters(m: int):
-    """Cuspidal model characters for the delta = 0 specialization checks."""
-    out = []
-    lam = staircase(m)
-    out.append((make_character("u", sum(lam), [], lam), None))
-    n_sp = m * (m + 1)
-    sym = unipotent_cuspidal(SeriesTag(SP, n_sp)).characters[0]
-    rho_sp = make_character("sp", n_sp, [], Symbol((), ()), sym)
-    out.append((rho_sp, "even"))
-    out.append((rho_sp, "odd"))
-    for rho in pseudo_unipotent_cuspidal_sp(m * m).characters:
-        out.append((rho, "even"))
-        out.append((rho, "odd"))
-    if m >= 1:
-        tag = SeriesTag(O_PLUS if m % 2 == 0 else O_MINUS, m * m)
-        for sym1 in unipotent_cuspidal(tag).characters:
-            rho = make_character("oeven", m * m, [], sym1, Symbol((), ()))
-            out.append((rho, None))
-    return out

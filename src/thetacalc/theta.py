@@ -242,48 +242,59 @@ def theta_zero_unitary(sym: Symbol, branch: int) -> Symbol:
     return symbol_with(lower[1:], upper, -d - 2)
 
 
-_SCAN_MARGIN = 2
+def _scan_tower(parity: int, cap: int, hits_at, source) -> Iterator[FirstOccurrence]:
+    """The levels of one Witt tower at which `source` has partners.
+
+    Walks the target dimensions parity, parity + 2, ..., cap and yields
+    FirstOccurrence(dim, hits) at each dim where hits_at(dim) is not
+    empty, so the first level yielded is the first occurrence.
+
+    The cap is the right side of the source's preservation identity, in
+    target dimension: 2*dim - 2*delta + c, with c = 2 for a symplectic,
+    0 for an even or odd orthogonal and 1 for a unitary source.  The
+    first occurrences in the source's two towers add up to it (the
+    conservation relation; Sun-Zhu, J. Amer. Math. Soc. 28, 2015) and
+    neither is negative.  A scan that runs past it means the relation or
+    the identity is wrong, so it raises CapExceededError.
+    """
+    for dim in range(parity, cap + 1, 2):
+        hits = hits_at(dim)
+        if hits:
+            yield FirstOccurrence(dim, tuple(hits))
+    raise CapExceededError(f"cap-exceeded: no partner of {source} up to dimension {cap}")
+
+
+def _unipotent_rhs(sym: Symbol) -> int:
+    """Right side of the preservation identity of a series symbol:
+    4n - 2*delta, plus 2 for the symplectic series."""
+    return 4 * rank(sym) - 2 * delta_symbol(sym) + (2 if defect(sym) % 4 == 1 else 0)
 
 
 def first_occurrence_bruteforce(sym: Symbol, target_family: str) -> FirstOccurrence:
     """Scan target ranks upward until a correspondence partner appears.
 
     Independent of the closed-form theta maps: enumerates each target
-    series and tests the relation directly.  The rank cap 2*rank +
-    delta + margin is safe because the two towers' partner ranks sum to
-    2*rank - delta plus a constant.
+    series and tests the relation directly, up to the cap of _scan_tower.
     """
     if target_family in (O_PLUS, O_MINUS):
         if defect(sym) % 4 != 1:
             raise SeriesError("bad-defect-class: source must be symplectic-series")
         sign = 1 if target_family == O_PLUS else -1
-        need_defect = -defect(sym) + sign
-
-        def hits_at(r: int) -> list[Symbol]:
-            pool = series_by_defect(SeriesTag(target_family, r)).get(need_defect, ())
-            return [cand for cand in pool if in_b_relation(sym, cand, sign)]
-
     elif target_family == SP:
-        sign = 1 if defect(sym) % 4 == 0 else -1
         if defect(sym) % 2 != 0:
             raise SeriesError("bad-defect-class: source must be even-orthogonal")
-        need_defect = sign - defect(sym)
-
-        def hits_at(r: int) -> list[Symbol]:
-            pool = series_by_defect(SeriesTag(SP, r)).get(need_defect, ())
-            return [cand for cand in pool if in_b_relation(cand, sym, sign)]
-
+        sign = 1 if defect(sym) % 4 == 0 else -1
     else:
         raise SeriesError(f"unsupported target family {target_family!r}")
+    need_defect = sign - defect(sym)
 
-    cap = 2 * rank(sym) + delta_symbol(sym) + _SCAN_MARGIN
-    for r in range(cap + 1):
-        hits = hits_at(r)
-        if hits:
-            return FirstOccurrence(2 * r, tuple(hits))
-    raise CapExceededError(
-        f"cap-exceeded: no partner of {sym} in {target_family} up to rank {cap}"
-    )
+    def hits_at(dim: int) -> list[Symbol]:
+        pool = series_by_defect(SeriesTag(target_family, dim // 2)).get(need_defect, ())
+        if target_family == SP:
+            return [cand for cand in pool if in_b_relation(cand, sym, sign)]
+        return [cand for cand in pool if in_b_relation(sym, cand, sign)]
+
+    return next(_scan_tower(0, _unipotent_rhs(sym), hits_at, sym))
 
 
 @lru_cache(maxsize=None)
@@ -294,26 +305,26 @@ def _partitions_by_symbol_defect(n: int) -> dict[int, tuple[Partition, ...]]:
     return {d: tuple(lams) for d, lams in grouped.items()}
 
 
+def _unitary_rhs(lam: Partition) -> int:
+    """Right side of the unitary preservation identity: 2|lam| - 2*delta + 1."""
+    return 2 * sum(lam) - 2 * delta_symbol(symbol_from_partition(lam)) + 1
+
+
 def first_occurrence_unitary(lam: Partition, parity: int) -> FirstOccurrence:
     """Brute-force first occurrence of a unitary unipotent character in
-    the tower of the given dimension parity (0 = even, 1 = odd)."""
+    the tower of the given dimension parity (0 = even, 1 = odd), up to
+    the cap of _scan_tower; the witnesses are sorted."""
     if parity not in (0, 1):
         raise ValueError("parity must be 0 (even) or 1 (odd)")
     sym = symbol_from_partition(lam)
     allowed = {_b_uu_defect(1, defect(sym)), _b_uu_defect(-1, defect(sym))}
-    cap = 2 * sum(lam) + 1 + _SCAN_MARGIN
-    for size in range(parity, cap + 1, 2):
-        witnesses = [
-            mu
-            for d, pool in sorted(_partitions_by_symbol_defect(size).items())
-            if d in allowed
-            for mu in pool
-            if in_b_uu(sym, symbol_from_partition(mu))
-        ]
-        if witnesses:
-            witnesses.sort()
-            return FirstOccurrence(size, tuple(witnesses))
-    raise CapExceededError(f"cap-exceeded: no unitary partner for {lam}")
+
+    def hits_at(size: int) -> list[Partition]:
+        pools = _partitions_by_symbol_defect(size)
+        pool = (mu for d in allowed for mu in pools.get(d, ()))
+        return sorted(mu for mu in pool if in_b_uu(sym, symbol_from_partition(mu)))
+
+    return next(_scan_tower(parity, _unitary_rhs(lam), hits_at, lam))
 
 
 def first_occurrence_unitary_closed(
@@ -335,19 +346,18 @@ def first_occurrence_unitary_closed(
 def preservation_sum_unipotent(sym: Symbol) -> tuple[int, int]:
     """Both sides of the preservation identity for a series symbol.
 
-    Symplectic series: dims over the two even-orthogonal towers vs
-    4n - 2*delta + 2.  Even-orthogonal series: dims for the symbol and
-    its transpose vs 4n - 2*delta.
+    The left side adds the dims over the two even-orthogonal towers for
+    a symplectic-series symbol, and the dims of the symbol and its
+    transpose for an even-orthogonal one; the right side is _unipotent_rhs.
     """
     residue = defect(sym) % 4
-    n, d = rank(sym), delta_symbol(sym)
     if residue == 1:
         lhs = 2 * rank(theta_zero_sp(sym, 1)) + 2 * rank(theta_zero_sp(sym, -1))
-        return lhs, 4 * n - 2 * d + 2
-    if residue in (0, 2):
+    elif residue in (0, 2):
         lhs = 2 * rank(theta_zero_orth(sym)) + 2 * rank(theta_zero_orth(transpose(sym)))
-        return lhs, 4 * n - 2 * d
-    raise SeriesError(f"series-undetermined: defect {defect(sym)} lies in no series")
+    else:
+        raise SeriesError(f"series-undetermined: defect {defect(sym)} lies in no series")
+    return lhs, _unipotent_rhs(sym)
 
 
 def preservation_sum_unitary(lam: Partition) -> tuple[int, int]:
@@ -356,5 +366,4 @@ def preservation_sum_unitary(lam: Partition) -> tuple[int, int]:
         first_occurrence_unitary(lam, 0).space_dimension
         + first_occurrence_unitary(lam, 1).space_dimension
     )
-    rhs = 2 * sum(lam) - 2 * delta_symbol(symbol_from_partition(lam)) + 1
-    return lhs, rhs
+    return lhs, _unitary_rhs(lam)

@@ -23,6 +23,7 @@ from thetacalc import (
     enumerate_characters_all_blocks,
     enumerate_series,
     first_occurrence_general,
+    first_occurrence_general_brute,
     format_symbol,
     is_cuspidal,
     make_character,
@@ -293,3 +294,55 @@ def test_criterion_10_nonsplit_even_orthogonal_uniqueness_as_stated():
         "the stated uniqueness fails for interior k; the predicted character "
         "always occurs but is not unique: " + repr(counterexamples[:3])
     )
+
+
+def _nonsplit_achievers(n, k, first_occurrence):
+    """The rank-n non-split even orthogonal characters, of every block
+    configuration, that occur against the rank-k symplectic group and
+    whose sign twist occurs against the rank-(n-k+1) one: the
+    achievers of the test above."""
+    return {
+        rho
+        for rho in enumerate_characters_all_blocks("oeven", n, epsilon=-1)
+        if first_occurrence(rho, "sp") <= 2 * k
+        and first_occurrence(sgn_twist(rho), "sp") <= 2 * (n - k) + 2
+    }
+
+
+def _nonsplit_expected_achievers(n, k):
+    """The achievers exactly, none with blocks: the predicted unipotent
+    (k | n-k+1,1,0); for k >= 1, the two with lambda1 the rank-1
+    cuspidal |1,0 or 1,0| and lambda2 (n-k | k-1); for k >= 2, the
+    unipotent (k,1,0 | n-k+1)."""
+    trivial = Symbol((), ())
+    out = {make_character("o-", n, [], trivial, Symbol((k,), (n - k + 1, 1, 0)))}
+    if k >= 1:
+        lambda2 = Symbol((n - k,), (k - 1,))
+        out |= {
+            make_character("o-", n, [], lambda1, lambda2)
+            for lambda1 in (Symbol((), (1, 0)), Symbol((1, 0), ()))
+        }
+    if k >= 2:
+        out.add(make_character("o-", n, [], trivial, Symbol((k, 1, 0), (n - k + 1,))))
+    return out
+
+
+def test_criterion_10_nonsplit_even_orthogonal_achievers_exactly():
+    """The clause of the test above, stated exactly: for n <= 5 and
+    0 <= k < n the achievers are _nonsplit_expected_achievers, by the
+    closed form, and for n <= 3 by the oracle as well."""
+    started = time.perf_counter()
+
+    def oracle(rho, target):
+        return first_occurrence_general_brute(rho, target).space_dimension
+
+    ok = all(
+        _nonsplit_achievers(n, k, first_occurrence_general) == _nonsplit_expected_achievers(n, k)
+        for n in range(1, 6)
+        for k in range(n)
+    ) and all(
+        _nonsplit_achievers(n, k, oracle) == _nonsplit_expected_achievers(n, k)
+        for n in range(1, 4)
+        for k in range(n)
+    )
+    _finish(10, "nonsplit-even-achievers-exactly", started, 60.0, ok)

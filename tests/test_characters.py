@@ -244,6 +244,21 @@ def test_preservation_sum_examples():
     assert preservation_sum_general(o_trivial) == (0, 0)
 
 
+@pytest.mark.parametrize(
+    "rho, kind, target, dim",
+    [
+        (make_character("sp", 0, [], S("|"), S("0|")), "even", "o-", 2),
+        (make_character("u", 0, [], ()), None, "u-odd", 1),
+        (make_character("o-odd", 0, [], S("0|"), S("0|"), sign=-1), None, "sp", 2),
+    ],
+)
+def test_first_occurrence_reaches_the_scan_cap(rho, kind, target, dim):
+    # The oracle scans up to the right side of the preservation identity;
+    # these first occurrences land on it, so the cap is exact.
+    assert first_occurrence_general_brute(rho, target).space_dimension == dim
+    assert preservation_sum_general(rho, kind)[1] == dim
+
+
 def test_closed_form_matches_brute_force_sampled():
     rng = random.Random(20)
     for family in ("u", "sp", "oeven", "oodd"):

@@ -4,7 +4,9 @@ A mutant replaces one library function, under every name a module binds
 it to, by a faulty version of it.  Only the suite that should catch it
 then runs, at a small bound, and each check expected to catch it must
 print a FAIL line: the run exits 1 with nothing on stderr.  A refactor
-of the suites must not stop a check from catching a planted bug.
+of the suites must not stop a check from catching a planted bug, and
+every check a passing `verify --suite all` prints is expected to catch
+at least one of them.
 
 Some mutants make a check raise rather than disagree (a dimension
 mismatch, an empty catalog indexed, an oracle scan past its cap): a
@@ -26,11 +28,34 @@ MODULES = (thetacalc, partitions, symbols, theta, characters, cuspidal, verify, 
 
 
 def _size_plus_two(original):
-    def mutant(lam, parity):
-        size, partner = original(lam, parity)
+    # A (size, partner) closed form with the right partner, two too high.
+    def mutant(*args):
+        size, partner = original(*args)
         return size + 2, partner
 
     return mutant
+
+
+def _oracle_dimension_plus_two(original):
+    # The right witnesses, at a space dimension two too high.
+    def mutant(*args):
+        found = original(*args)
+        return found._replace(space_dimension=found.space_dimension + 2)
+
+    return mutant
+
+
+def _side_moved(index, amount):
+    # One side of an (lhs, rhs) identity moved by `amount`.
+    def fault(original):
+        def mutant(*args):
+            sides = list(original(*args))
+            sides[index] += amount
+            return tuple(sides)
+
+        return mutant
+
+    return fault
 
 
 def _wrong_entry_dropped(original):
@@ -92,6 +117,15 @@ def _dimension_three_halves(original):
     def mutant(sym, target_family):
         found = original(sym, target_family)
         return found._replace(space_dimension=found.space_dimension * 3 // 2)
+
+    return mutant
+
+
+def _cap_one_level_low(original):
+    # The tower scan stops one level below the preservation right side,
+    # which some first occurrences reach exactly.
+    def mutant(parity, cap, hits_at, source):
+        return original(parity, cap - 2, hits_at, source)
 
     return mutant
 
@@ -217,6 +251,126 @@ MUTANTS = {
         3,
         {"unitary-pair-parity"},
     ),
+    "unitary-sum-lhs-plus-two": (
+        "preservation_sum_unitary",
+        _side_moved(0, 2),
+        "cuspidal-catalog",
+        2,
+        {"cuspidal-sum-unitary"},
+    ),
+    "unipotent-sum-rhs-plus-two-cuspidal": (
+        "preservation_sum_unipotent",
+        _side_moved(1, 2),
+        "cuspidal-catalog",
+        2,
+        {"cuspidal-sum-orthogonal", "cuspidal-sum-symplectic"},
+    ),
+    "unipotent-sum-rhs-plus-two-lemmas": (
+        "preservation_sum_unipotent",
+        _side_moved(1, 2),
+        "symbol-lemmas",
+        2,
+        {"theta-rank-sum-symplectic", "theta-rank-sum-orthogonal"},
+    ),
+    "general-sum-lhs-plus-one-cuspidal": (
+        "preservation_sum_general",
+        _side_moved(0, 1),
+        "cuspidal-catalog",
+        2,
+        {"cuspidal-sum-specialization"},
+    ),
+    "general-sum-lhs-plus-one-o": (
+        "preservation_sum_general",
+        _side_moved(0, 1),
+        "preservation-o",
+        0,
+        {"preservation-closed-oeven", "preservation-closed-oodd"},
+    ),
+    "general-sum-lhs-plus-one-sp-even": (
+        "preservation_sum_general",
+        _side_moved(0, 1),
+        "preservation-sp-even",
+        0,
+        {"preservation-closed-sp-even"},
+    ),
+    "general-sum-lhs-plus-one-sp-odd": (
+        "preservation_sum_general",
+        _side_moved(0, 1),
+        "preservation-sp-odd",
+        0,
+        {"preservation-closed-sp-odd"},
+    ),
+    "general-oracle-dimension-plus-two-cuspidal": (
+        "first_occurrence_general_brute",
+        _oracle_dimension_plus_two,
+        "cuspidal-catalog",
+        2,
+        {
+            "pseudo-cuspidal-even-partner",
+            "pseudo-cuspidal-odd-partner",
+            "unipotent-cuspidal-odd-dim",
+        },
+    ),
+    "general-oracle-dimension-plus-two-o": (
+        "first_occurrence_general_brute",
+        _oracle_dimension_plus_two,
+        "preservation-o",
+        0,
+        {"preservation-oracle-oodd"},
+    ),
+    "general-oracle-dimension-plus-two-sp-even": (
+        "first_occurrence_general_brute",
+        _oracle_dimension_plus_two,
+        "preservation-sp-even",
+        0,
+        {"preservation-oracle-sp-even"},
+    ),
+    "general-oracle-dimension-plus-two-sp-odd": (
+        "first_occurrence_general_brute",
+        _oracle_dimension_plus_two,
+        "preservation-sp-odd",
+        0,
+        {"preservation-oracle-sp-odd"},
+    ),
+    "general-closed-dimension-plus-two": (
+        "first_occurrence_partner",
+        _size_plus_two,
+        "cuspidal-catalog",
+        2,
+        {"pseudo-cuspidal-even-dims", "pseudo-cuspidal-odd-dims"},
+    ),
+    "no-character-cuspidal": (
+        "is_cuspidal_character",
+        lambda original: lambda rho: False,
+        "cuspidal-catalog",
+        2,
+        {
+            "unipotent-cuspidal-odd-partner-type",
+            "pseudo-cuspidal-even-partner-type",
+            "pseudo-cuspidal-odd-partner-type",
+        },
+    ),
+    "upsilon-size-plus-one": (
+        "upsilon_size",
+        lambda original: lambda sym: original(sym) + 1,
+        "symbol-lemmas",
+        2,
+        {"cuspidality-equivalence"},
+    ),
+    "scan-cap-one-level-low-unipotent": (
+        "_scan_tower",
+        _cap_one_level_low,
+        "unipotent-theta",
+        2,
+        {"first-occurrence-symplectic", "first-occurrence-orthogonal", "unitary-preservation"},
+    ),
+    "scan-cap-one-level-low-o": (
+        "_scan_tower",
+        _cap_one_level_low,
+        "preservation-o",
+        0,
+        {"preservation-oracle-oeven", "preservation-oracle-oodd"},
+    ),
 }
 
 
@@ -261,3 +415,10 @@ def test_planted_bug_fails_its_checks(
     assert "Traceback" not in captured.out
     assert killers <= _failed_checks(captured.out)
     assert code == 1
+
+
+def test_every_printed_check_has_a_mutant_it_kills():
+    # The names a passing run prints do not depend on the bound.
+    printed = {report.check for report in verify.run_suite("all", 0, 0)}
+    killers = set().union(*(row[-1] for row in MUTANTS.values()))
+    assert sorted(printed - killers) == []

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import thetacalc
+from thetacalc import cli
 from thetacalc.cli import MAX_QUERY_SIZE, build_parser, main
 
 
@@ -220,6 +221,37 @@ def test_theta_first_cap_exceeded_is_a_failed_check(capsys, monkeypatch):
     )
     assert code == 1 and out == ""
     assert err.startswith("error: cap-exceeded")
+
+
+def _raises(exc):
+    def fault(*args):
+        raise exc
+
+    return fault
+
+
+@pytest.mark.parametrize(
+    "name, exc, argv, message",
+    [
+        (
+            "first_occurrence_bruteforce",
+            KeyError("x"),
+            ("--group", "sp", "--symbol", "0|", "--target", "o+"),
+            "KeyError: 'x'",
+        ),
+        (
+            "first_occurrence_unitary",
+            IndexError("tuple index out of range"),
+            ("--group", "u", "--symbol", "2,1", "--target", "u-odd"),
+            "IndexError: tuple index out of range",
+        ),
+    ],
+)
+def test_internal_error_is_a_failed_check(capsys, monkeypatch, name, exc, argv, message):
+    # A fault in the library while computing is exit 1, not bad input.
+    monkeypatch.setattr(cli, name, _raises(exc))
+    code, out, err = run_cli(capsys, "theta", "first", *argv)
+    assert (code, out, err) == (1, "", f"error: internal: {message}\n")
 
 
 def test_out_unwritable(capsys, tmp_path):

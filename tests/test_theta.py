@@ -168,6 +168,17 @@ def test_first_occurrence_bruteforce_examples():
     assert first_occurrence_bruteforce(S("|2,1,0"), O_PLUS).space_dimension == 8
 
 
+def test_first_occurrences_reach_the_scan_cap():
+    # The oracles scan up to the right side of the preservation identity;
+    # these first occurrences land on it, so the cap is exact.
+    assert first_occurrence_bruteforce(S("0|"), O_MINUS).space_dimension == 2
+    assert preservation_sum_unipotent(S("0|"))[1] == 2
+    assert first_occurrence_bruteforce(S("|"), SP).space_dimension == 0
+    assert preservation_sum_unipotent(S("|"))[1] == 0
+    assert first_occurrence_unitary((), 1).space_dimension == 1
+    assert preservation_sum_unitary(())[1] == 1
+
+
 def test_first_occurrence_matches_theta_maps():
     for n in range(6):
         for sym in enumerate_series(SeriesTag(SP, n)):
